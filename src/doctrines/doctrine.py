@@ -374,7 +374,7 @@ class TabularDoctrine(Doctrine):
         return bool(self._exists) or bool(self._forall)
 
 
-def load_doctrine(source, cat: TableCat | None = None, verify: bool = True, max_checks: int | None = None) -> TabularDoctrine:
+def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> TabularDoctrine:
     """Load a tabular doctrine from a JSON file path, JSON text, or dict.
 
     With verify=True (the default for untrusted input) the doctrine laws
@@ -445,7 +445,7 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True, max_
 
     doc = TabularDoctrine(cat, fibers, reindex_tables, exists_tables, forall_tables, caps)
     if verify:
-        rep = verify_doctrine(doc, max_checks=max_checks)
+        rep = verify_doctrine(doc)
         for r in rep.failed:
             raise LoadError(
                 f"doctrine law violated: {json.dumps(r.counterexample, sort_keys=True, default=repr)}",
@@ -471,7 +471,7 @@ def _doctrine_arrows(doc: Doctrine, objs, budget=None):
             yield from doc.cat.iter_hom(a, b, budget)
 
 
-def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None, max_checks: int | None = None) -> LawReport:
+def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None) -> LawReport:
     """Check functoriality, monotonicity, declared adjunctions and the
     Beck-Chevalley squares of projections, plus lattice structure when the
     doctrine claims it.  Never passes silently: anything cut short by a
@@ -493,7 +493,6 @@ def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None,
         report.add(_law_lat_fibers(doc, objs))
         report.add(_law_reindex_preserves_lattice(doc, objs, budget))
     report.sort()
-    _ = max_checks
     return report
 
 
@@ -699,12 +698,14 @@ def _law_lat_fibers(doc, objs):
             checked += pos.n * pos.n
             if not rep.ok:
                 return LawResult(law, FAIL, checked, {"object": a, "failures": rep.failures[:3]})
-            for p in elems:
-                for q in elems:
+            # pos.labels is elems, so an element's label index is its position
+            for i, p in enumerate(elems):
+                for j, q in enumerate(elems):
                     checked += 1
-                    if not doc.fiber_eq(a, doc.meet(a, p, q), elems[rep.meet[_key(pos, p, q)]]):
+                    key = (i, j) if i <= j else (j, i)
+                    if not doc.fiber_eq(a, doc.meet(a, p, q), elems[rep.meet[key]]):
                         return LawResult(law, FAIL, checked, {"object": a, "p": p, "q": q, "op": "meet"})
-                    if not doc.fiber_eq(a, doc.join(a, p, q), elems[rep.join[_key(pos, p, q)]]):
+                    if not doc.fiber_eq(a, doc.join(a, p, q), elems[rep.join[key]]):
                         return LawResult(law, FAIL, checked, {"object": a, "p": p, "q": q, "op": "join"})
             if not doc.fiber_eq(a, doc.top(a), elems[rep.top]):
                 return LawResult(law, FAIL, checked, {"object": a, "op": "top"})
@@ -713,11 +714,6 @@ def _law_lat_fibers(doc, objs):
     except (SearchBudgetExceeded, CapabilityError) as exc:
         return _skip(law, exc)
     return LawResult(law, PASS, checked)
-
-
-def _key(pos, p, q):
-    i, j = pos.labels.index(p), pos.labels.index(q)
-    return (i, j) if i <= j else (j, i)
 
 
 def _law_reindex_preserves_lattice(doc, objs, budget):

@@ -16,10 +16,19 @@ Iterated products are left-associated.  Under row-major flattening the
 reassociation ``(A x B) x C ~ A x (B x C)`` and the unit isomorphisms
 ``A x 1 ~ A ~ 1 x A`` all have identity tables, but helpers below still
 construct them as explicit arrows so code stays correct over any base.
+
+Canonical structure maps (identities, projections, injections, ``bang``,
+evaluation, the distributivity isos and the generic ``nth_proj`` and
+``reassoc_*``) are built once per category instance, on first request,
+and then shared: every later request for the same maps between the same
+objects returns the same immutable :class:`Arrow`.  The memo lives on the
+category, so a fresh category starts empty.  Maps that depend on arrows
+(``pair``, ``compose``, ``product_map``, ...) are rebuilt on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -56,6 +65,24 @@ def identity_table(n: int) -> tuple:
     return tuple(range(n))
 
 
+def _canonical(build):
+    """Decorator for ``build(cat, *objects)``, a method or a function taking
+    the category first: the structure map is built once per category and
+    kept in ``cat._memo`` under the build's name and the objects.
+    A build that raises leaves no entry."""
+    kind = build.__name__
+
+    @functools.wraps(build)
+    def memoized(cat, *objs):
+        key = (kind, *objs)
+        arrow = cat._memo.get(key)
+        if arrow is None:
+            arrow = cat._memo[key] = build(cat, *objs)
+        return arrow
+
+    return memoized
+
+
 class SkelFinSet:
     """Skeleton of finite sets: object n has carrier {0,..,n-1} and every
     total function between carriers is an arrow."""
@@ -68,9 +95,13 @@ class SkelFinSet:
     terminal = 1
     initial = 0
 
+    def __init__(self):
+        self._memo = {}  # (kind, *objects) -> Arrow
+
     def card(self, a) -> int:
         return int(a)
 
+    @_canonical
     def identity(self, a) -> Arrow:
         return Arrow(a, a, identity_table(a))
 
@@ -132,9 +163,11 @@ class SkelFinSet:
     def product(self, a, b):
         return a * b
 
+    @_canonical
     def proj1(self, a, b) -> Arrow:
         return Arrow(a * b, a, tuple(i // b for i in range(a * b)))
 
+    @_canonical
     def proj2(self, a, b) -> Arrow:
         return Arrow(a * b, b, tuple(i % b for i in range(a * b)))
 
@@ -150,9 +183,11 @@ class SkelFinSet:
     def coproduct(self, a, b):
         return a + b
 
+    @_canonical
     def inj1(self, a, b) -> Arrow:
         return Arrow(a, a + b, tuple(range(a)))
 
+    @_canonical
     def inj2(self, a, b) -> Arrow:
         return Arrow(b, a + b, tuple(a + i for i in range(b)))
 
@@ -164,6 +199,7 @@ class SkelFinSet:
 
     # -- terminal / initial / points ---------------------------------
 
+    @_canonical
     def bang(self, a) -> Arrow:
         return Arrow(a, 1, (0,) * a)
 
@@ -178,6 +214,7 @@ class SkelFinSet:
     def exponential(self, b, a):
         return b**a
 
+    @_canonical
     def ev(self, b, a) -> Arrow:
         """Evaluation A x B^A -> B; the function argument comes second."""
         e = b**a
@@ -213,6 +250,7 @@ class SkelFinSet:
 
     # -- distributivity ----------------------------------------------
 
+    @_canonical
     def theta(self, a, b, c) -> Arrow:
         """(A x B) + (A x C) -> A x (B + C), canonical distributivity iso."""
         table = []
@@ -224,9 +262,11 @@ class SkelFinSet:
                 table.append(aa * (b + c) + b + cc)
         return Arrow(a * b + a * c, a * (b + c), tuple(table))
 
+    @_canonical
     def theta_inv(self, a, b, c) -> Arrow:
         return self.invert(self.theta(a, b, c))
 
+    @_canonical
     def theta_left(self, a, b, d) -> Arrow:
         """(A x D) + (B x D) -> (A + B) x D, the mirrored distributivity iso.
 
@@ -242,6 +282,7 @@ class SkelFinSet:
                 table.append((a + bb) * d + dd)
         return Arrow(a * d + b * d, (a + b) * d, tuple(table))
 
+    @_canonical
     def theta_left_inv(self, a, b, d) -> Arrow:
         return self.invert(self.theta_left(a, b, d))
 
@@ -282,7 +323,11 @@ def prod_obj(cat, factors):
 
 def nth_proj(cat, factors, i) -> Arrow:
     """Projection of the left-associated product onto its i-th factor."""
-    factors = list(factors)
+    return _nth_proj(cat, tuple(factors), i)
+
+
+@_canonical
+def _nth_proj(cat, factors: tuple, i) -> Arrow:
     n = len(factors)
     if not 0 <= i < n:
         raise IndexError(i)
@@ -292,7 +337,7 @@ def nth_proj(cat, factors, i) -> Arrow:
     last = factors[-1]
     if i == n - 1:
         return cat.proj2(head, last)
-    return cat.compose(nth_proj(cat, factors[:-1], i), cat.proj1(head, last))
+    return cat.compose(_nth_proj(cat, factors[:-1], i), cat.proj1(head, last))
 
 
 def tuple_arrow(cat, components) -> Arrow:
@@ -306,6 +351,7 @@ def tuple_arrow(cat, components) -> Arrow:
     return out
 
 
+@_canonical
 def reassoc_left(cat, a, b, c) -> Arrow:
     """A x (B x C) -> (A x B) x C.  Identity table in the skeletal encoding."""
     bc = cat.product(b, c)
@@ -316,6 +362,7 @@ def reassoc_left(cat, a, b, c) -> Arrow:
     return cat.pair(cat.pair(p_a, p_b), p_c)
 
 
+@_canonical
 def reassoc_right(cat, a, b, c) -> Arrow:
     """(A x B) x C -> A x (B x C)."""
     ab = cat.product(a, b)
@@ -341,6 +388,7 @@ class TableCat:
     """
 
     def __init__(self, cards, homs, names, structure=None):
+        self._memo = {}  # (kind, *objects) -> Arrow
         self._cards = dict(cards)  # obj id -> card
         self._homs = {k: sorted(v, key=lambda f: f.table) for k, v in homs.items()}
         self.names = dict(names)  # arrow name -> Arrow
@@ -377,6 +425,7 @@ class TableCat:
     def card(self, a) -> int:
         return self._cards[a]
 
+    @_canonical
     def identity(self, a) -> Arrow:
         return Arrow(a, a, identity_table(self._cards[a]))
 
@@ -448,6 +497,7 @@ class TableCat:
                 return m
         raise NoMediatingArrow(f"copairing out of {obj!r}")
 
+    @_canonical
     def bang(self, a) -> Arrow:
         if self.terminal is None:
             raise CapabilityError("no chosen terminal object")
@@ -483,19 +533,23 @@ class TableCat:
             raise NonUniqueMediatingArrow(f"transpose into {obj!r} is not unique")
         return found[0]
 
+    @_canonical
     def theta(self, a, b, c) -> Arrow:
         left = self.pair(self.proj1(a, b), compose(self.inj1(b, c), self.proj2(a, b)))
         right = self.pair(self.proj1(a, c), compose(self.inj2(b, c), self.proj2(a, c)))
         return self.copair(left, right)
 
+    @_canonical
     def theta_inv(self, a, b, c) -> Arrow:
         return self.invert(self.theta(a, b, c))
 
+    @_canonical
     def theta_left(self, a, b, d) -> Arrow:
         left = self.pair(compose(self.inj1(a, b), self.proj1(a, d)), self.proj2(a, d))
         right = self.pair(compose(self.inj2(a, b), self.proj1(b, d)), self.proj2(b, d))
         return self.copair(left, right)
 
+    @_canonical
     def theta_left_inv(self, a, b, d) -> Arrow:
         return self.invert(self.theta_left(a, b, d))
 

@@ -1,5 +1,7 @@
 """Category layer: enumeration order, chosen structure, distributivity."""
 
+import itertools
+
 import pytest
 
 from doctrines.errors import LoadError, SearchBudgetExceeded
@@ -266,3 +268,74 @@ class TestLoader:
     def test_not_json(self):
         with pytest.raises(LoadError):
             load_category("{not json")
+
+
+class TestCanonicalMemo:
+    # each memoized constructor with the object arguments it takes, carriers 0..4
+    CARDS = range(5)
+    ARITY = {
+        "identity": 1, "bang": 1,
+        "proj1": 2, "proj2": 2, "inj1": 2, "inj2": 2, "ev": 2,
+        "theta": 3, "theta_inv": 3, "theta_left": 3, "theta_left_inv": 3,
+    }
+
+    def calls(self):
+        for name, k in self.ARITY.items():
+            for objs in itertools.product(self.CARDS, repeat=k):
+                yield name, objs
+
+    def test_equal_to_fresh_build_and_shared(self):
+        cat = SkelFinSet()
+        first = {(name, objs): getattr(cat, name)(*objs) for name, objs in self.calls()}
+        for (name, objs), arrow in first.items():
+            fresh = getattr(SkelFinSet, name).__wrapped__(cat, *objs)
+            assert arrow == fresh, (name, objs)
+            assert getattr(cat, name)(*objs) is arrow, (name, objs)
+
+    def test_generic_helpers(self):
+        cat = SkelFinSet()
+        for a, b, c in itertools.product(self.CARDS, repeat=3):
+            for helper in (reassoc_left, reassoc_right):
+                arrow = helper(cat, a, b, c)
+                assert arrow == helper.__wrapped__(SkelFinSet(), a, b, c)
+                assert helper(cat, a, b, c) is arrow
+            for i in range(3):
+                arrow = nth_proj(cat, [a, b, c], i)
+                assert arrow == nth_proj(SkelFinSet(), (a, b, c), i)
+                assert nth_proj(cat, (a, b, c), i) is arrow
+
+    def test_instances_do_not_share(self):
+        one, two = SkelFinSet(), SkelFinSet()
+        p = one.proj1(2, 3)
+        assert two._memo == {}
+        q = two.proj1(2, 3)
+        assert q == p and q is not p
+        assert one.proj1(2, 3) is p
+
+    def test_failed_build_leaves_no_entry(self):
+        cat = SkelFinSet()
+        with pytest.raises(IndexError):
+            nth_proj(cat, [2, 3], 2)
+        assert cat._memo == {}
+
+    def test_table_cat_declared_arrows(self):
+        cat = load_category(skel_category_json(3))
+        cards = {f"n{c}": c for c in range(4)}
+        for factors in (["n1", "n3", "n1"], ["n3", "n1", "n1"], ["n1", "n1", "n3"]):
+            src = prod_obj(cat, factors)
+            for i, obj in enumerate(factors):
+                p = nth_proj(cat, factors, i)
+                assert p in cat.hom(src, obj)
+                assert p.table == nth_proj(C, [cards[x] for x in factors], i).table
+                assert nth_proj(cat, factors, i) is p
+        for a, b, c in (("n1", "n3", "n1"), ("n3", "n1", "n1"), ("n1", "n1", "n3")):
+            left, right = reassoc_left(cat, a, b, c), reassoc_right(cat, a, b, c)
+            assert left in cat.hom(cat.product(a, cat.product(b, c)), cat.product(cat.product(a, b), c))
+            assert right in cat.hom(left.cod, left.dom)
+            assert left.table == right.table == tuple(range(cards[left.dom]))
+            assert reassoc_left(cat, a, b, c) is left
+            assert reassoc_right(cat, a, b, c) is right
+        for obj in cards:
+            assert cat.identity(obj) in cat.hom(obj, obj)
+            assert cat.identity(obj) is cat.identity(obj)
+            assert cat.bang(obj) is cat.bang(obj)
