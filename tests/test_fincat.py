@@ -328,7 +328,7 @@ class TestCanonicalMemo:
                 assert p in cat.hom(src, obj)
                 assert p.table == nth_proj(C, [cards[x] for x in factors], i).table
                 assert nth_proj(cat, factors, i) is p
-        for a, b, c in (("n1", "n3", "n1"), ("n3", "n1", "n1"), ("n1", "n1", "n3")):
+            a, b, c = factors
             left, right = reassoc_left(cat, a, b, c), reassoc_right(cat, a, b, c)
             assert left in cat.hom(cat.product(a, cat.product(b, c)), cat.product(cat.product(a, b), c))
             assert right in cat.hom(left.cod, left.dom)
