@@ -18,7 +18,7 @@ from .completion import (
     exists_proj,
     forall_proj,
 )
-from .core import BACKEND, HAVE_COMPILED
+from .core import BACKEND
 from .dialectica import (
     DialObj,
     dial_from_nested,
@@ -92,7 +92,6 @@ __all__ = [
     "Doctrine",
     "DoctrineError",
     "EX",
-    "HAVE_COMPILED",
     "LatticeReport",
     "LawContext",
     "LawReport",

@@ -1,49 +1,134 @@
-"""Backend selection for the order-decision kernels.
+"""Order-decision kernels over bitmask predicates.
 
-The compiled extension (built from ``_core.pyx``) handles carriers of at
-most 64 elements; larger instances, and installs where the extension
-failed to build, fall back to ``_core_py``, which implements the same
-contract bit for bit.  Set ``DOCTRINES_PURE=1`` to force the fallback.
+A predicate over a carrier {0,..,n-1} is an int with bit i set iff i
+belongs to the subset.  Product carriers are flattened row-major: (a, b)
+maps to a*nb + b.
+
+Each kernel returns the lexicographically least witness table.  In
+``ex_witness`` and ``un_witness`` the admissible values at distinct table
+positions are independent of each other, so the least witness is the
+pointwise minimum and those two kernels are linear in the carrier size.
+``dial_witness`` is not: it scans the forward map f by odometer, up to
+nb2**nb candidates, and takes no search budget.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _core_py
-
-try:
-    from . import _core as _compiled  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on the build
-    _compiled = None
-
-if os.environ.get("DOCTRINES_PURE"):
-    _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-BACKEND = "compiled" if HAVE_COMPILED else "pure"
-
-_MAX_BITS = 64
+# Names the kernel implementation in benchmark reports.
+BACKEND = "pure"
 
 
-def ex_witness(na, nb, nc, alpha, beta):
-    if _compiled is not None and na * nb <= _MAX_BITS and na * nc <= _MAX_BITS:
-        return _compiled.ex_witness(na, nb, nc, alpha, beta)
-    return _core_py.ex_witness(na, nb, nc, alpha, beta)
+def _first_set(mask: int, limit: int) -> int:
+    """Least bit index below `limit` set in mask, or -1."""
+    m = mask & ((1 << limit) - 1)
+    if m == 0:
+        return -1
+    return (m & -m).bit_length() - 1
 
 
-def un_witness(na, nb, nc, alpha, beta):
-    if _compiled is not None and na * nb <= _MAX_BITS and na * nc <= _MAX_BITS:
-        return _compiled.un_witness(na, nb, nc, alpha, beta)
-    return _core_py.un_witness(na, nb, nc, alpha, beta)
+def _first_clear(mask: int, limit: int) -> int:
+    """Least bit index below `limit` clear in mask, or -1."""
+    m = ~mask & ((1 << limit) - 1)
+    if m == 0:
+        return -1
+    return (m & -m).bit_length() - 1
 
 
-def dial_witness(nb, nc, nb2, nc2, alpha, beta):
-    if (
-        _compiled is not None
-        and nb * nc <= _MAX_BITS
-        and nb2 * nc2 <= _MAX_BITS
-        and nb * nc2 <= _MAX_BITS
-    ):
-        return _compiled.dial_witness(nb, nc, nb2, nc2, alpha, beta)
-    return _core_py.dial_witness(nb, nc, nb2, nc2, alpha, beta)
+def ex_witness(na: int, nb: int, nc: int, alpha: int, beta: int):
+    """Least f: (A x B) -> C with (a,b) in alpha implying (a, f(a,b)) in beta.
+
+    alpha is a mask over A x B, beta over A x C.  Returns the table as a
+    tuple, or None when no table qualifies.
+    """
+    n = na * nb
+    if n == 0:
+        return ()
+    if nc == 0:
+        return None
+    out = []
+    pos = 0
+    for a in range(na):
+        row = beta >> (a * nc)
+        for _b in range(nb):
+            if (alpha >> pos) & 1:
+                c = _first_set(row, nc)
+                if c < 0:
+                    return None
+                out.append(c)
+            else:
+                out.append(0)
+            pos += 1
+    return tuple(out)
+
+
+def un_witness(na: int, nb: int, nc: int, alpha: int, beta: int):
+    """Least g: (A x C) -> B with (a, g(a,c)) in alpha implying (a,c) in beta.
+
+    alpha is a mask over A x B, beta over A x C.  Returns the table as a
+    tuple, or None when no table qualifies.
+    """
+    n = na * nc
+    if n == 0:
+        return ()
+    if nb == 0:
+        return None
+    out = []
+    pos = 0
+    for a in range(na):
+        row = alpha >> (a * nb)
+        for _c in range(nc):
+            if (beta >> pos) & 1:
+                out.append(0)
+            else:
+                b = _first_clear(row, nb)
+                if b < 0:
+                    return None
+                out.append(b)
+            pos += 1
+    return tuple(out)
+
+
+def dial_witness(nb: int, nc: int, nb2: int, nc2: int, alpha: int, beta: int):
+    """Least pair (f: B -> B', F: (B x C') -> C), ordered f-major, with
+    (b, F(b,c')) in alpha implying (f(b), c') in beta.
+
+    alpha is a mask over B x C, beta over B' x C'.  Returns (f, F) as
+    tuples, or None.  For a fixed f the admissible F form a box, so F is
+    constructed greedily; f itself is scanned by odometer.
+    """
+    if nb == 0:
+        return (), ()
+    if nb2 == 0:
+        return None
+    if nc2 > 0 and nc == 0:
+        return None
+    f = [0] * nb
+    while True:
+        F = _dial_greedy(f, nb, nc, nc2, alpha, beta)
+        if F is not None:
+            return tuple(f), F
+        i = nb - 1
+        while i >= 0:
+            f[i] += 1
+            if f[i] < nb2:
+                break
+            f[i] = 0
+            i -= 1
+        if i < 0:
+            return None
+
+
+def _dial_greedy(f, nb, nc, nc2, alpha, beta):
+    out = []
+    for b in range(nb):
+        arow = alpha >> (b * nc)
+        brow = beta >> (f[b] * nc2)
+        for c2 in range(nc2):
+            if (brow >> c2) & 1:
+                out.append(0)
+            else:
+                c = _first_clear(arow, nc)
+                if c < 0:
+                    return None
+                out.append(c)
+    return tuple(out)

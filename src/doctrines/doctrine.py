@@ -106,6 +106,8 @@ class Doctrine:
         return NotImplemented
 
     def dial_witness(self, b, c, b2, c2, alpha, beta):
+        """Least (f: B -> B', F: BxC' -> C) with alpha(b, F(b,c')) implying
+        beta(f(b), c'), as a pair of tables, or None."""
         return NotImplemented
 
     # -- serialization helpers -----------------------------------------

@@ -460,38 +460,39 @@ class TableCat:
             raise SearchBudgetExceeded(len(hs), cap, f"Hom({a!r},{b!r})")
         return list(hs)
 
-    def product(self, a, b):
+    def _chosen(self, table, kind, a, b):
+        """The declared entry (object, structure arrows) for (a, b) in `table`."""
         try:
-            return self._products[(a, b)][0]
+            return table[(a, b)]
         except KeyError:
-            raise CapabilityError(f"no chosen product for ({a!r},{b!r})") from None
+            raise CapabilityError(f"no chosen {kind} for ({a!r},{b!r})") from None
+
+    def product(self, a, b):
+        return self._chosen(self._products, "product", a, b)[0]
 
     def proj1(self, a, b) -> Arrow:
-        return self._products[(a, b)][1]
+        return self._chosen(self._products, "product", a, b)[1]
 
     def proj2(self, a, b) -> Arrow:
-        return self._products[(a, b)][2]
+        return self._chosen(self._products, "product", a, b)[2]
 
     def pair(self, f: Arrow, g: Arrow) -> Arrow:
-        obj, p1, p2 = self._products[(f.cod, g.cod)]
+        obj, p1, p2 = self._chosen(self._products, "product", f.cod, g.cod)
         return self._mediate(
             f.dom, obj, [(p1, f), (p2, g)], f"pairing into {obj!r}"
         )
 
     def coproduct(self, a, b):
-        try:
-            return self._coproducts[(a, b)][0]
-        except KeyError:
-            raise CapabilityError(f"no chosen coproduct for ({a!r},{b!r})") from None
+        return self._chosen(self._coproducts, "coproduct", a, b)[0]
 
     def inj1(self, a, b) -> Arrow:
-        return self._coproducts[(a, b)][1]
+        return self._chosen(self._coproducts, "coproduct", a, b)[1]
 
     def inj2(self, a, b) -> Arrow:
-        return self._coproducts[(a, b)][2]
+        return self._chosen(self._coproducts, "coproduct", a, b)[2]
 
     def copair(self, f: Arrow, g: Arrow) -> Arrow:
-        obj, j1, j2 = self._coproducts[(f.dom, g.dom)]
+        obj, j1, j2 = self._chosen(self._coproducts, "coproduct", f.dom, g.dom)
         for m in self.hom(obj, f.cod):
             if compose(m, j1) == f and compose(m, j2) == g:
                 return m
@@ -510,16 +511,13 @@ class TableCat:
         return list(self._points.get(a, []))
 
     def exponential(self, b, a):
-        try:
-            return self._exponentials[(b, a)][0]
-        except KeyError:
-            raise CapabilityError(f"no chosen exponential for ({b!r},{a!r})") from None
+        return self._chosen(self._exponentials, "exponential", b, a)[0]
 
     def ev(self, b, a) -> Arrow:
-        return self._exponentials[(b, a)][1]
+        return self._chosen(self._exponentials, "exponential", b, a)[1]
 
     def transpose(self, f: Arrow, x, a) -> Arrow:
-        obj, evm = self._exponentials[(f.cod, a)]
+        obj, evm = self._chosen(self._exponentials, "exponential", f.cod, a)
         swap = self.pair(self.proj2(a, x), self.proj1(a, x))
         target = compose(f, swap)
         found = []

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from doctrines.errors import LoadError, SearchBudgetExceeded
+from doctrines.errors import CapabilityError, LoadError, SearchBudgetExceeded
 from doctrines.fincat import (
     Arrow,
     SkelFinSet,
@@ -268,6 +268,29 @@ class TestLoader:
     def test_not_json(self):
         with pytest.raises(LoadError):
             load_category("{not json")
+
+    # skel_category_json(2) declares no n2 x n2, no coproducts and no exponentials
+    ID2 = Arrow("n2", "n2", (0, 1))
+
+    UNDECLARED = [
+        ("product", ("n2", "n2"), "product"),
+        ("proj1", ("n2", "n2"), "product"),
+        ("proj2", ("n2", "n2"), "product"),
+        ("pair", (ID2, ID2), "product"),
+        ("coproduct", ("n2", "n2"), "coproduct"),
+        ("inj1", ("n2", "n2"), "coproduct"),
+        ("inj2", ("n2", "n2"), "coproduct"),
+        ("copair", (ID2, ID2), "coproduct"),
+        ("exponential", ("n2", "n2"), "exponential"),
+        ("ev", ("n2", "n2"), "exponential"),
+        ("transpose", (ID2, "n1", "n2"), "exponential"),
+    ]
+
+    @pytest.mark.parametrize("accessor, args, kind", UNDECLARED, ids=[row[0] for row in UNDECLARED])
+    def test_undeclared_structure(self, accessor, args, kind):
+        cat = load_category(skel_category_json(2))
+        with pytest.raises(CapabilityError, match=rf"no chosen {kind} for \('n2','n2'\)"):
+            getattr(cat, accessor)(*args)
 
 
 class TestCanonicalMemo:
