@@ -41,7 +41,6 @@ from .doctrine import (
     load_doctrine,
     op_doctrine,
     powerset_doctrine,
-    verify_doctrine,
 )
 from .errors import (
     CapabilityError,
@@ -52,7 +51,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .fincat import Arrow, SkelFinSet, TableCat, compose, load_category
-from .laws import LawContext, run_suite
+from .laws import LawContext, run_suite, verify_doctrine
 from .poset import (
     LatticeReport,
     MonotoneMap,

@@ -14,9 +14,9 @@ import sys
 
 from .completion import EX, UN, Completion, QuantElem
 from .dialectica import DialObj, bounded_dialobjs, dial_leq, dial_preorder
-from .doctrine import load_doctrine, mask_from_indices, powerset_doctrine, verify_doctrine
+from .doctrine import load_doctrine, mask_from_indices, powerset_doctrine
 from .errors import BUDGET_ENV_VAR, DoctrineError, LoadError, SearchBudgetExceeded, resolve_budget
-from .laws import SUITES, LawContext, run_suite
+from .laws import SUITES, LawContext, run_suite, verify_doctrine
 from .poset import lattice_check, poset_reflect, to_dot
 from .principles import extract_choice, extract_counterexample, skolem_check
 
@@ -47,23 +47,16 @@ def _load_elem(doc, data) -> QuantElem:
     try:
         polarity = data["polarity"]
         base = int(data["base"])
-        qobj = int(data["qobj"])
-        pred = data["pred"]
+        elem = dict(data, base=base, qobj=int(data["qobj"]))
+        if polarity not in (EX, UN):
+            raise LoadError(f"polarity must be EX or UN, got {polarity!r}")
+        return Completion(doc, polarity).pred_from_json(base, elem)
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"element needs polarity/base/qobj/pred: {exc}") from None
-    if polarity not in (EX, UN):
-        raise LoadError(f"polarity must be EX or UN, got {polarity!r}")
-    carrier = doc.cat.card(doc.cat.product(base, qobj))
-    return QuantElem(polarity, base, qobj, mask_from_indices(pred, carrier))
 
 
 def _elem_json(doc, x: QuantElem) -> dict:
-    return {
-        "polarity": x.polarity,
-        "base": x.base,
-        "qobj": x.qobj,
-        "pred": doc.pred_to_json(None, x.pred),
-    }
+    return Completion(doc, x.polarity).pred_to_json(x.base, x)
 
 
 def _load_dial(doc, data) -> DialObj:

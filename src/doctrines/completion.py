@@ -141,9 +141,6 @@ class Completion(Doctrine):
             )
         return WitnessArrow(arrow, direction)
 
-    def leq_holds(self, x, y, budget=None) -> bool:
-        return self.leq(x, y, budget) is not None
-
     def fiber_leq(self, a, x, y) -> bool:
         return self.leq(x, y) is not None
 
@@ -362,12 +359,22 @@ class Completion(Doctrine):
     # -- serialization -----------------------------------------------------------
 
     def pred_to_json(self, a, x: QuantElem):
-        return elem_to_json(self, x)
+        """The element as {"polarity", "base", "qobj", "pred"}, its predicate
+        serialized by the base doctrine."""
+        return {
+            "polarity": x.polarity,
+            "base": x.base,
+            "qobj": x.qobj,
+            "pred": self.base.pred_to_json(self.cat.product(x.base, x.qobj), x.pred),
+        }
 
     def pred_from_json(self, a, data):
-        x = elem_from_json(self, data)
-        if x.base != a:
+        """Inverse of :meth:`pred_to_json` for an element over `a`."""
+        if data["base"] != a:
             raise ValueError("element is over the wrong object")
+        qobj = data["qobj"]
+        x = QuantElem(data["polarity"], a, qobj, self.base.pred_from_json(self.cat.product(a, qobj), data["pred"]))
+        self._check_elem(x)
         return x
 
 

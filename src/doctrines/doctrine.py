@@ -1,5 +1,5 @@
 """Poset-valued doctrines: the interface, the powerset instance, order
-reversal, tabular file-loaded instances, and the law verifier.
+reversal, tabular file-loaded instances and their loader.
 
 A doctrine assigns to every object A of a finite base category a poset of
 predicates and to every arrow f a monotone reindexing map P_f going the
@@ -19,8 +19,7 @@ import json
 from . import core
 from .errors import CapabilityError, LoadError, SearchBudgetExceeded
 from .fincat import Arrow, SkelFinSet, TableCat, load_category
-from .poset import Poset, Preorder
-from .report import FAIL, PASS, SKIPPED, LawReport, LawResult
+from .poset import Preorder
 
 CAP_EX_PR = "existential-over-projections"
 CAP_UN_PR = "universal-over-projections"
@@ -169,10 +168,6 @@ class PowersetDoctrine(Doctrine):
         if 2**n > self.enum_cap:
             raise SearchBudgetExceeded(2**n, self.enum_cap, f"fiber over {a!r}")
         return range(2**n)
-
-    def fiber_poset(self, a) -> Poset:
-        elems = list(self.fiber_elements(a))
-        return Poset.from_le(elems, lambda p, q: p & ~q == 0)
 
     def reindex(self, f: Arrow, p):
         out = 0
@@ -345,9 +340,6 @@ class TabularDoctrine(Doctrine):
     def fiber_elements(self, a):
         return range(self.fibers[a].n)
 
-    def fiber_poset(self, a) -> Preorder:
-        return self.fibers[a]
-
     def reindex(self, f: Arrow, p):
         try:
             return self._reindex[f][p]
@@ -447,6 +439,8 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
 
     doc = TabularDoctrine(cat, fibers, reindex_tables, exists_tables, forall_tables, caps)
     if verify:
+        from .laws import verify_doctrine
+
         rep = verify_doctrine(doc)
         for r in rep.failed:
             raise LoadError(
@@ -455,294 +449,3 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
             )
     return doc
 
-
-# ---------------------------------------------------------------------------
-# the law verifier
-# ---------------------------------------------------------------------------
-
-
-def _doctrine_objects(doc: Doctrine, max_card: int):
-    if isinstance(doc.cat, SkelFinSet):
-        return list(range(max_card + 1))
-    return sorted(doc.cat.objects(), key=repr)
-
-
-def _doctrine_arrows(doc: Doctrine, objs, budget=None):
-    for a in objs:
-        for b in objs:
-            yield from doc.cat.iter_hom(a, b, budget)
-
-
-def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None) -> LawReport:
-    """Check functoriality, monotonicity, declared adjunctions and the
-    Beck-Chevalley squares of projections, plus lattice structure when the
-    doctrine claims it.  Never passes silently: anything cut short by a
-    budget is reported SKIPPED with the reason.
-    """
-    report = LawReport(suite="doctrine", bounds={"max_card": max_card})
-    objs = _doctrine_objects(doc, max_card)
-    report.add(_law_reindex_identity(doc, objs))
-    report.add(_law_reindex_composition(doc, objs, budget))
-    report.add(_law_reindex_monotone(doc, objs, budget))
-    if CAP_ALONG_ALL in doc.caps or doc._has_any_adjoint_tables():
-        report.add(_law_adjunction_along(doc, objs, "exists", budget))
-        report.add(_law_adjunction_along(doc, objs, "forall", budget))
-    if CAP_EX_PR in doc.caps or CAP_UN_PR in doc.caps:
-        report.add(_law_bc_projections(doc, objs, budget))
-    if CAP_INJ_LEFT in doc.caps or CAP_INJ_RIGHT in doc.caps:
-        report.add(_law_bc_injections(doc, objs, budget))
-    if CAP_LAT in doc.caps:
-        report.add(_law_lat_fibers(doc, objs))
-        report.add(_law_reindex_preserves_lattice(doc, objs, budget))
-    report.sort()
-    return report
-
-
-def _skip(law, exc):
-    return LawResult(law, SKIPPED, detail=str(exc))
-
-
-def _law_reindex_identity(doc, objs):
-    law = "reindex-identity"
-    checked = 0
-    try:
-        for a in objs:
-            ident = doc.cat.identity(a)
-            for p in doc.fiber_elements(a):
-                checked += 1
-                if not doc.fiber_eq(a, doc.reindex(ident, p), p):
-                    return LawResult(law, FAIL, checked, {"object": a, "pred": p})
-    except (SearchBudgetExceeded, CapabilityError) as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)
-
-
-def _law_reindex_composition(doc, objs, budget):
-    law = "reindex-composition"
-    checked = 0
-    try:
-        arrows = list(_doctrine_arrows(doc, objs, budget))
-        for f in arrows:
-            for g in arrows:
-                if g.dom != f.cod:
-                    continue
-                gf = doc.cat.compose(g, f)
-                for p in doc.fiber_elements(g.cod):
-                    checked += 1
-                    two_step = doc.reindex(f, doc.reindex(g, p))
-                    one_step = doc.reindex(gf, p)
-                    if not doc.fiber_eq(f.dom, two_step, one_step):
-                        return LawResult(
-                            law,
-                            FAIL,
-                            checked,
-                            {"f": list(f.table), "g": list(g.table),
-                             "dom": f.dom, "mid": f.cod, "cod": g.cod, "pred": p},
-                        )
-    except (SearchBudgetExceeded, CapabilityError) as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)
-
-
-def _law_reindex_monotone(doc, objs, budget):
-    law = "reindex-monotone"
-    checked = 0
-    try:
-        for f in _doctrine_arrows(doc, objs, budget):
-            for p in doc.fiber_elements(f.cod):
-                for q in doc.fiber_elements(f.cod):
-                    if not doc.fiber_leq(f.cod, p, q):
-                        continue
-                    checked += 1
-                    if not doc.fiber_leq(f.dom, doc.reindex(f, p), doc.reindex(f, q)):
-                        return LawResult(
-                            law, FAIL, checked,
-                            {"f": list(f.table), "dom": f.dom, "cod": f.cod, "p": p, "q": q},
-                        )
-    except (SearchBudgetExceeded, CapabilityError) as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)
-
-
-def _check_adjunction_arrow(doc, f, side):
-    count = 0
-    for u in doc.fiber_elements(f.dom):
-        for v in doc.fiber_elements(f.cod):
-            count += 1
-            if side == "exists":
-                lhs = doc.fiber_leq(f.cod, doc.exists_along(f, u), v)
-                rhs = doc.fiber_leq(f.dom, u, doc.reindex(f, v))
-            else:
-                lhs = doc.fiber_leq(f.dom, doc.reindex(f, v), u)
-                rhs = doc.fiber_leq(f.cod, v, doc.forall_along(f, u))
-            if lhs != rhs:
-                cex = {
-                    "f": list(f.table), "dom": f.dom, "cod": f.cod,
-                    "u": u, "v": v, "lhs": lhs, "rhs": rhs,
-                }
-                return count, cex
-    return count, None
-
-
-def _law_adjunction_along(doc, objs, side, budget):
-    """exists_along(f) -| reindex(f), or reindex(f) -| forall_along(f), on
-    every arrow the doctrine has an adjoint for; arrows without one are
-    skipped (a doctrine only claims the adjoints it declares)."""
-    law = f"adjunction-{side}-along"
-    checked = 0
-    try:
-        for f in _doctrine_arrows(doc, objs, budget):
-            try:
-                count, cex = _check_adjunction_arrow(doc, f, side)
-            except CapabilityError:
-                continue
-            checked += count
-            if cex is not None:
-                return LawResult(law, FAIL, checked, cex)
-    except SearchBudgetExceeded as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)
-
-
-def _law_bc_projections(doc, objs, budget):
-    """For f: D -> A and any C, quantifying along pr then substituting f
-    equals substituting fx1 then quantifying along pr'."""
-    law = "beck-chevalley-projections"
-    checked = 0
-    from .fincat import product_map
-
-    try:
-        for f in _doctrine_arrows(doc, objs, budget):
-            d, a = f.dom, f.cod
-            for c in objs:
-                ac = doc.cat.product(a, c)
-                pr_a = doc.cat.proj1(a, c)
-                pr_d = doc.cat.proj1(d, c)
-                fx1 = product_map(doc.cat, f, doc.cat.identity(c))
-                for beta in doc.fiber_elements(ac):
-                    checked += 1
-                    if CAP_EX_PR in doc.caps:
-                        left = doc.reindex(f, doc.exists_pr((a, c), beta))
-                        right = doc.exists_pr((d, c), doc.reindex(fx1, beta))
-                        if not doc.fiber_eq(d, left, right):
-                            return LawResult(
-                                law, FAIL, checked,
-                                {"side": "exists", "f": list(f.table), "dom": d,
-                                 "cod": a, "c": c, "beta": beta},
-                            )
-                    if CAP_UN_PR in doc.caps:
-                        left = doc.reindex(f, doc.forall_pr((a, c), beta))
-                        right = doc.forall_pr((d, c), doc.reindex(fx1, beta))
-                        if not doc.fiber_eq(d, left, right):
-                            return LawResult(
-                                law, FAIL, checked,
-                                {"side": "forall", "f": list(f.table), "dom": d,
-                                 "cod": a, "c": c, "beta": beta},
-                            )
-    except (SearchBudgetExceeded, CapabilityError) as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)
-
-
-def _law_bc_injections(doc, objs, budget):
-    """Pullback squares of coproduct injections: the square with g = f+h
-    over j_C, j_A commutes with the injection adjoints."""
-    law = "beck-chevalley-injections"
-    checked = 0
-    try:
-        for a in objs:
-            for b in objs:
-                for c in objs:
-                    for d in objs:
-                        for f in doc.cat.iter_hom(c, a, budget):
-                            for h in doc.cat.iter_hom(d, b, budget):
-                                g = doc.cat.copair(
-                                    doc.cat.compose(doc.cat.inj1(a, b), f),
-                                    doc.cat.compose(doc.cat.inj2(a, b), h),
-                                )
-                                for eps in doc.fiber_elements(a):
-                                    checked += 1
-                                    if CAP_INJ_LEFT in doc.caps:
-                                        left = doc.exists_inj((c, d), doc.reindex(f, eps))
-                                        right = doc.reindex(g, doc.exists_inj((a, b), eps))
-                                        if not doc.fiber_eq(doc.cat.coproduct(c, d), left, right):
-                                            return LawResult(
-                                                law, FAIL, checked,
-                                                {"side": "exists", "f": list(f.table),
-                                                 "h": list(h.table), "a": a, "b": b,
-                                                 "c": c, "d": d, "pred": eps},
-                                            )
-                                    if CAP_INJ_RIGHT in doc.caps:
-                                        left = doc.forall_inj((c, d), doc.reindex(f, eps))
-                                        right = doc.reindex(g, doc.forall_inj((a, b), eps))
-                                        if not doc.fiber_eq(doc.cat.coproduct(c, d), left, right):
-                                            return LawResult(
-                                                law, FAIL, checked,
-                                                {"side": "forall", "f": list(f.table),
-                                                 "h": list(h.table), "a": a, "b": b,
-                                                 "c": c, "d": d, "pred": eps},
-                                            )
-    except (SearchBudgetExceeded, CapabilityError) as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)
-
-
-def _law_lat_fibers(doc, objs):
-    from .poset import lattice_check
-
-    law = "lat-fibers"
-    checked = 0
-    try:
-        for a in objs:
-            elems = list(doc.fiber_elements(a))
-            pos = Poset.from_le(elems, lambda p, q, a=a: doc.fiber_leq(a, p, q))
-            rep = lattice_check(pos)
-            checked += pos.n * pos.n
-            if not rep.ok:
-                return LawResult(law, FAIL, checked, {"object": a, "failures": rep.failures[:3]})
-            # pos.labels is elems, so an element's label index is its position
-            for i, p in enumerate(elems):
-                for j, q in enumerate(elems):
-                    checked += 1
-                    key = (i, j) if i <= j else (j, i)
-                    if not doc.fiber_eq(a, doc.meet(a, p, q), elems[rep.meet[key]]):
-                        return LawResult(law, FAIL, checked, {"object": a, "p": p, "q": q, "op": "meet"})
-                    if not doc.fiber_eq(a, doc.join(a, p, q), elems[rep.join[key]]):
-                        return LawResult(law, FAIL, checked, {"object": a, "p": p, "q": q, "op": "join"})
-            if not doc.fiber_eq(a, doc.top(a), elems[rep.top]):
-                return LawResult(law, FAIL, checked, {"object": a, "op": "top"})
-            if not doc.fiber_eq(a, doc.bottom(a), elems[rep.bottom]):
-                return LawResult(law, FAIL, checked, {"object": a, "op": "bottom"})
-    except (SearchBudgetExceeded, CapabilityError) as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)
-
-
-def _law_reindex_preserves_lattice(doc, objs, budget):
-    law = "reindex-preserves-lattice"
-    checked = 0
-    try:
-        for f in _doctrine_arrows(doc, objs, budget):
-            for p in doc.fiber_elements(f.cod):
-                for q in doc.fiber_elements(f.cod):
-                    checked += 1
-                    if not doc.fiber_eq(
-                        f.dom,
-                        doc.reindex(f, doc.meet(f.cod, p, q)),
-                        doc.meet(f.dom, doc.reindex(f, p), doc.reindex(f, q)),
-                    ):
-                        return LawResult(law, FAIL, checked, {"f": list(f.table), "op": "meet", "p": p, "q": q})
-                    if not doc.fiber_eq(
-                        f.dom,
-                        doc.reindex(f, doc.join(f.cod, p, q)),
-                        doc.join(f.dom, doc.reindex(f, p), doc.reindex(f, q)),
-                    ):
-                        return LawResult(law, FAIL, checked, {"f": list(f.table), "op": "join", "p": p, "q": q})
-            checked += 1
-            if not doc.fiber_eq(f.dom, doc.reindex(f, doc.top(f.cod)), doc.top(f.dom)):
-                return LawResult(law, FAIL, checked, {"f": list(f.table), "op": "top"})
-            if not doc.fiber_eq(f.dom, doc.reindex(f, doc.bottom(f.cod)), doc.bottom(f.dom)):
-                return LawResult(law, FAIL, checked, {"f": list(f.table), "op": "bottom"})
-    except (SearchBudgetExceeded, CapabilityError) as exc:
-        return _skip(law, exc)
-    return LawResult(law, PASS, checked)

@@ -90,7 +90,6 @@ class SkelFinSet:
     has_products = True
     has_coproducts = True
     has_exponentials = True
-    has_points = True
 
     terminal = 1
     initial = 0
@@ -414,10 +413,6 @@ class TableCat:
     @property
     def has_exponentials(self):
         return bool(self._exponentials)
-
-    @property
-    def has_points(self):
-        return bool(self._points)
 
     def objects(self):
         return list(self._cards)

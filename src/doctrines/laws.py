@@ -1,15 +1,21 @@
-"""Law verification suites over a doctrine and its completions.
+"""Law verification: every law of a doctrine and its completions, checked
+under one outcome policy.
 
-Each suite exhaustively checks one family of theorems on bounded data:
-base-doctrine laws, the completion preorder, the projection/injection
+Each law exhaustively checks one theorem on bounded data: the base-doctrine
+laws (functoriality, monotonicity, declared adjunctions, Beck-Chevalley
+squares, fiber lattices), the completion preorder, the projection/injection
 adjunctions, strict Beck-Chevalley equalities, fiberwise lattice
 structure, the order duality between the two completions, the monad
 identities, Skolemization together with the choice principles, and the
-dialectica oracle equivalence.
+dialectica oracle equivalence.  `_LAWS` names each law's body; a suite is
+a tuple of law names; :func:`run_laws` is the one place that turns a
+body's outcome into a :class:`LawResult`.  :func:`verify_doctrine` runs
+the base-doctrine laws a doctrine's capabilities select, :func:`run_suite`
+runs a suite.
 
-All suites iterate in deterministic ascending order, so a FAIL always
+All laws iterate in deterministic ascending order, so a FAIL always
 carries the smallest counterexample found first; anything cut short by a
-search budget is reported SKIPPED, never PASS.
+search budget or a missing capability is reported SKIPPED, never PASS.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .completion import EX, UN, Completion, QuantElem, dual_completion, duality_transport
 from .dialectica import (
@@ -30,38 +37,25 @@ from .dialectica import (
     nested_completion,
 )
 from .doctrine import (
+    CAP_ALONG_ALL,
+    CAP_EX_PR,
+    CAP_INJ_LEFT,
+    CAP_INJ_RIGHT,
+    CAP_LAT,
+    CAP_UN_PR,
     Doctrine,
-    _law_adjunction_along,
-    _law_bc_injections,
-    _law_bc_projections,
-    _law_lat_fibers,
-    _law_reindex_composition,
-    _law_reindex_identity,
-    _law_reindex_monotone,
-    _law_reindex_preserves_lattice,
     powerset_doctrine,
 )
 from .errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
-from .fincat import product_map
-from .poset import lattice_check, poset_reflect
+from .fincat import SkelFinSet, product_map
+from .poset import Poset, lattice_check, poset_reflect
 from .principles import extract_choice, extract_counterexample, skolem_check
 from .report import FAIL, PASS, SKIPPED, LawReport, LawResult
-
-SUITES = (
-    "functoriality",
-    "adjunctions",
-    "beck-chevalley",
-    "lattice",
-    "duality",
-    "monad",
-    "skolem",
-    "dialectica-oracle",
-)
 
 
 @dataclass
 class LawContext:
-    """Everything a suite needs; completions can be swapped for sabotaged
+    """Everything a law needs; completions can be swapped for sabotaged
     variants when exercising the negative controls."""
 
     doctrine: Doctrine = field(default_factory=powerset_doctrine)
@@ -80,67 +74,245 @@ class LawContext:
 
     @property
     def objects(self):
-        return list(range(self.max_card + 1))
+        """Cardinalities up to max_card over finite sets, else every declared object."""
+        if isinstance(self.doctrine.cat, SkelFinSet):
+            return list(range(self.max_card + 1))
+        return sorted(self.doctrine.cat.objects(), key=repr)
 
     def arrows(self):
-        for a in self.objects:
-            for b in self.objects:
+        objs = self.objects
+        for a in objs:
+            for b in objs:
                 yield from self.doctrine.cat.iter_hom(a, b, self.budget)
 
+    def completion(self, polarity) -> Completion:
+        return self.comp_ex if polarity == EX else self.comp_un
+
     def elem_json(self, x: QuantElem):
-        return {
-            "polarity": x.polarity,
-            "base": x.base,
-            "qobj": x.qobj,
-            "pred": self.doctrine.pred_to_json(None, x.pred)
-            if not isinstance(x.pred, QuantElem)
-            else repr(x.pred),
-        }
-
-
-def _guard(law, fn):
-    try:
-        return fn()
-    except SearchBudgetExceeded as exc:
-        return LawResult(law, SKIPPED, detail=str(exc))
-    except CapabilityError as exc:
-        return LawResult(law, SKIPPED, detail=f"capability missing: {exc}")
-    except WitnessValidationError as exc:
-        # the decision procedure caught the doctrine contradicting itself
-        return LawResult(law, FAIL, counterexample={"witness-validation": str(exc)})
+        return self.completion(x.polarity).pred_to_json(x.base, x)
 
 
 # ---------------------------------------------------------------------------
-# functoriality: base doctrine laws plus the completion preorder
+# base-doctrine laws
 # ---------------------------------------------------------------------------
 
 
-def suite_functoriality(ctx: LawContext) -> list:
-    results = [
-        _law_reindex_identity(ctx.doctrine, ctx.objects),
-        _law_reindex_composition(ctx.doctrine, ctx.objects, ctx.budget),
-        _law_reindex_monotone(ctx.doctrine, ctx.objects, ctx.budget),
-    ]
-    for comp, tag in ((ctx.comp_ex, "ex"), (ctx.comp_un, "un")):
-        results.append(_guard(f"completion-leq-reflexive-{tag}", lambda c=comp, t=tag: _law_leq_reflexive(ctx, c, t)))
-        results.append(_guard(f"completion-leq-transitive-{tag}", lambda c=comp, t=tag: _law_leq_transitive(ctx, c, t)))
-        results.append(_guard(f"completion-reindex-functorial-{tag}", lambda c=comp, t=tag: _law_reindex_q_functorial(ctx, c, t)))
-    return results
+def _law_reindex_identity(ctx):
+    doc = ctx.doctrine
+    checked = 0
+    for a in ctx.objects:
+        ident = doc.cat.identity(a)
+        for p in doc.fiber_elements(a):
+            checked += 1
+            if not doc.fiber_eq(a, doc.reindex(ident, p), p):
+                return checked, {"object": a, "pred": p}
+    return checked, None
 
 
-def _law_leq_reflexive(ctx, comp, tag):
-    law = f"completion-leq-reflexive-{tag}"
+def _law_reindex_composition(ctx):
+    doc = ctx.doctrine
+    checked = 0
+    arrows = list(ctx.arrows())
+    for f in arrows:
+        for g in arrows:
+            if g.dom != f.cod:
+                continue
+            gf = doc.cat.compose(g, f)
+            for p in doc.fiber_elements(g.cod):
+                checked += 1
+                two_step = doc.reindex(f, doc.reindex(g, p))
+                one_step = doc.reindex(gf, p)
+                if not doc.fiber_eq(f.dom, two_step, one_step):
+                    return checked, {"f": list(f.table), "g": list(g.table),
+                                     "dom": f.dom, "mid": f.cod, "cod": g.cod, "pred": p}
+    return checked, None
+
+
+def _law_reindex_monotone(ctx):
+    doc = ctx.doctrine
+    checked = 0
+    for f in ctx.arrows():
+        for p in doc.fiber_elements(f.cod):
+            for q in doc.fiber_elements(f.cod):
+                if not doc.fiber_leq(f.cod, p, q):
+                    continue
+                checked += 1
+                if not doc.fiber_leq(f.dom, doc.reindex(f, p), doc.reindex(f, q)):
+                    return checked, {"f": list(f.table), "dom": f.dom, "cod": f.cod, "p": p, "q": q}
+    return checked, None
+
+
+def _check_adjunction_arrow(doc, f, side):
+    count = 0
+    for u in doc.fiber_elements(f.dom):
+        for v in doc.fiber_elements(f.cod):
+            count += 1
+            if side == "exists":
+                lhs = doc.fiber_leq(f.cod, doc.exists_along(f, u), v)
+                rhs = doc.fiber_leq(f.dom, u, doc.reindex(f, v))
+            else:
+                lhs = doc.fiber_leq(f.dom, doc.reindex(f, v), u)
+                rhs = doc.fiber_leq(f.cod, v, doc.forall_along(f, u))
+            if lhs != rhs:
+                cex = {
+                    "f": list(f.table), "dom": f.dom, "cod": f.cod,
+                    "u": u, "v": v, "lhs": lhs, "rhs": rhs,
+                }
+                return count, cex
+    return count, None
+
+
+def _law_adjunction_along(ctx, side):
+    """exists_along(f) -| reindex(f), or reindex(f) -| forall_along(f), on
+    every arrow the doctrine has an adjoint for; arrows without one are
+    skipped (a doctrine only claims the adjoints it declares)."""
+    checked = 0
+    for f in ctx.arrows():
+        try:
+            count, cex = _check_adjunction_arrow(ctx.doctrine, f, side)
+        except CapabilityError:
+            continue
+        checked += count
+        if cex is not None:
+            return checked, cex
+    return checked, None
+
+
+def _law_bc_projections(ctx):
+    """For f: D -> A and any C, quantifying along pr then substituting f
+    equals substituting fx1 then quantifying along pr'."""
+    doc = ctx.doctrine
+    objs = ctx.objects
+    checked = 0
+    for f in ctx.arrows():
+        d, a = f.dom, f.cod
+        for c in objs:
+            ac = doc.cat.product(a, c)
+            fx1 = product_map(doc.cat, f, doc.cat.identity(c))
+            for beta in doc.fiber_elements(ac):
+                checked += 1
+                if CAP_EX_PR in doc.caps:
+                    left = doc.reindex(f, doc.exists_pr((a, c), beta))
+                    right = doc.exists_pr((d, c), doc.reindex(fx1, beta))
+                    if not doc.fiber_eq(d, left, right):
+                        return checked, {"side": "exists", "f": list(f.table), "dom": d,
+                                         "cod": a, "c": c, "beta": beta}
+                if CAP_UN_PR in doc.caps:
+                    left = doc.reindex(f, doc.forall_pr((a, c), beta))
+                    right = doc.forall_pr((d, c), doc.reindex(fx1, beta))
+                    if not doc.fiber_eq(d, left, right):
+                        return checked, {"side": "forall", "f": list(f.table), "dom": d,
+                                         "cod": a, "c": c, "beta": beta}
+    return checked, None
+
+
+def _law_bc_injections(ctx):
+    """Pullback squares of coproduct injections: the square with g = f+h
+    over j_C, j_A commutes with the injection adjoints."""
+    doc = ctx.doctrine
+    cat = doc.cat
+    objs = ctx.objects
+    checked = 0
+    for a in objs:
+        for b in objs:
+            for c in objs:
+                for d in objs:
+                    for f in cat.iter_hom(c, a, ctx.budget):
+                        for h in cat.iter_hom(d, b, ctx.budget):
+                            g = cat.copair(
+                                cat.compose(cat.inj1(a, b), f),
+                                cat.compose(cat.inj2(a, b), h),
+                            )
+                            for eps in doc.fiber_elements(a):
+                                checked += 1
+                                if CAP_INJ_LEFT in doc.caps:
+                                    left = doc.exists_inj((c, d), doc.reindex(f, eps))
+                                    right = doc.reindex(g, doc.exists_inj((a, b), eps))
+                                    if not doc.fiber_eq(cat.coproduct(c, d), left, right):
+                                        return checked, {"side": "exists", "f": list(f.table),
+                                                         "h": list(h.table), "a": a, "b": b,
+                                                         "c": c, "d": d, "pred": eps}
+                                if CAP_INJ_RIGHT in doc.caps:
+                                    left = doc.forall_inj((c, d), doc.reindex(f, eps))
+                                    right = doc.reindex(g, doc.forall_inj((a, b), eps))
+                                    if not doc.fiber_eq(cat.coproduct(c, d), left, right):
+                                        return checked, {"side": "forall", "f": list(f.table),
+                                                         "h": list(h.table), "a": a, "b": b,
+                                                         "c": c, "d": d, "pred": eps}
+    return checked, None
+
+
+def _law_lat_fibers(ctx):
+    doc = ctx.doctrine
+    checked = 0
+    for a in ctx.objects:
+        elems = list(doc.fiber_elements(a))
+        pos = Poset.from_le(elems, lambda p, q, a=a: doc.fiber_leq(a, p, q))
+        rep = lattice_check(pos)
+        checked += pos.n * pos.n
+        if not rep.ok:
+            return checked, {"object": a, "failures": rep.failures[:3]}
+        # pos.labels is elems, so an element's label index is its position
+        for i, p in enumerate(elems):
+            for j, q in enumerate(elems):
+                checked += 1
+                key = (i, j) if i <= j else (j, i)
+                if not doc.fiber_eq(a, doc.meet(a, p, q), elems[rep.meet[key]]):
+                    return checked, {"object": a, "p": p, "q": q, "op": "meet"}
+                if not doc.fiber_eq(a, doc.join(a, p, q), elems[rep.join[key]]):
+                    return checked, {"object": a, "p": p, "q": q, "op": "join"}
+        if not doc.fiber_eq(a, doc.top(a), elems[rep.top]):
+            return checked, {"object": a, "op": "top"}
+        if not doc.fiber_eq(a, doc.bottom(a), elems[rep.bottom]):
+            return checked, {"object": a, "op": "bottom"}
+    return checked, None
+
+
+def _law_reindex_preserves_lattice(ctx):
+    doc = ctx.doctrine
+    checked = 0
+    for f in ctx.arrows():
+        for p in doc.fiber_elements(f.cod):
+            for q in doc.fiber_elements(f.cod):
+                checked += 1
+                if not doc.fiber_eq(
+                    f.dom,
+                    doc.reindex(f, doc.meet(f.cod, p, q)),
+                    doc.meet(f.dom, doc.reindex(f, p), doc.reindex(f, q)),
+                ):
+                    return checked, {"f": list(f.table), "op": "meet", "p": p, "q": q}
+                if not doc.fiber_eq(
+                    f.dom,
+                    doc.reindex(f, doc.join(f.cod, p, q)),
+                    doc.join(f.dom, doc.reindex(f, p), doc.reindex(f, q)),
+                ):
+                    return checked, {"f": list(f.table), "op": "join", "p": p, "q": q}
+        checked += 1
+        if not doc.fiber_eq(f.dom, doc.reindex(f, doc.top(f.cod)), doc.top(f.dom)):
+            return checked, {"f": list(f.table), "op": "top"}
+        if not doc.fiber_eq(f.dom, doc.reindex(f, doc.bottom(f.cod)), doc.bottom(f.dom)):
+            return checked, {"f": list(f.table), "op": "bottom"}
+    return checked, None
+
+
+# ---------------------------------------------------------------------------
+# the completion preorder
+# ---------------------------------------------------------------------------
+
+
+def _law_leq_reflexive(ctx, polarity):
+    comp = ctx.completion(polarity)
     checked = 0
     for a in ctx.objects:
         for x in comp.bounded_fiber(a, ctx.qmax):
             checked += 1
             if comp.leq(x, x, ctx.budget) is None:
-                return LawResult(law, FAIL, checked, ctx.elem_json(x))
-    return LawResult(law, PASS, checked)
+                return checked, ctx.elem_json(x)
+    return checked, None
 
 
-def _law_leq_transitive(ctx, comp, tag):
-    law = f"completion-leq-transitive-{tag}"
+def _law_leq_transitive(ctx, polarity):
+    comp = ctx.completion(polarity)
     checked = 0
     for a in ctx.objects:
         elems = comp.bounded_fiber(a, ctx.qmax)
@@ -153,52 +325,33 @@ def _law_leq_transitive(ctx, comp, tag):
                 for k in range(n):
                     checked += 1
                     if mat[j][k] and not mat[i][k]:
-                        return LawResult(
-                            law, FAIL, checked,
-                            {"x": ctx.elem_json(elems[i]), "y": ctx.elem_json(elems[j]),
-                             "z": ctx.elem_json(elems[k])},
-                        )
-    return LawResult(law, PASS, checked)
+                        return checked, {"x": ctx.elem_json(elems[i]), "y": ctx.elem_json(elems[j]),
+                                         "z": ctx.elem_json(elems[k])}
+    return checked, None
 
 
-def _law_reindex_q_functorial(ctx, comp, tag):
-    law = f"completion-reindex-functorial-{tag}"
+def _law_reindex_q_functorial(ctx, polarity):
+    comp = ctx.completion(polarity)
     checked = 0
     arrows = list(ctx.arrows())
     for g in arrows:
         for x in comp.bounded_fiber(g.cod, min(ctx.qmax, 1)):
             checked += 1
             if comp.reindex(comp.cat.identity(g.cod), x) != x:
-                return LawResult(law, FAIL, checked, {"law": "identity", "x": ctx.elem_json(x)})
+                return checked, {"law": "identity", "x": ctx.elem_json(x)}
             gx = comp.reindex(g, x)
             for f in arrows:
                 if f.cod != g.dom:
                     continue
                 checked += 1
                 if comp.reindex(f, gx) != comp.reindex(comp.cat.compose(g, f), x):
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"f": list(f.table), "g": list(g.table), "x": ctx.elem_json(x)},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"f": list(f.table), "g": list(g.table), "x": ctx.elem_json(x)}
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
 # adjunctions
 # ---------------------------------------------------------------------------
-
-
-def suite_adjunctions(ctx: LawContext) -> list:
-    results = [
-        _law_adjunction_along(ctx.doctrine, ctx.objects, "exists", ctx.budget),
-        _law_adjunction_along(ctx.doctrine, ctx.objects, "forall", ctx.budget),
-        _guard("completion-exists-pr-adjunction", lambda: _law_pr_adjunction(ctx, ctx.comp_ex, left=True)),
-        _guard("completion-forall-pr-adjunction", lambda: _law_pr_adjunction(ctx, ctx.comp_un, left=False)),
-        _guard("completion-forall-pr-exp-adjunction", lambda: _law_pr_exp_adjunction(ctx)),
-    ]
-    for comp, tag in ((ctx.comp_ex, "ex"), (ctx.comp_un, "un")):
-        results.append(_guard(f"completion-inj-adjunction-{tag}", lambda c=comp, t=tag: _law_inj_adjunction(ctx, c, t)))
-    return results
 
 
 def _splittings(ctx):
@@ -207,9 +360,9 @@ def _splittings(ctx):
             yield a1, a2
 
 
-def _law_pr_adjunction(ctx, comp, left: bool):
+def _law_pr_adjunction(ctx, polarity):
     """exists_pr -| reindex(pr1) on EX fibers, reindex(pr1) -| forall_pr on UN."""
-    law = "completion-exists-pr-adjunction" if left else "completion-forall-pr-adjunction"
+    comp = ctx.completion(polarity)
     checked = 0
     for a1, a2 in _splittings(ctx):
         prod = comp.cat.product(a1, a2)
@@ -217,24 +370,20 @@ def _law_pr_adjunction(ctx, comp, left: bool):
         for x in comp.bounded_fiber(prod, ctx.qmax):
             for y in comp.bounded_fiber(a1, ctx.qmax):
                 checked += 1
-                if left:
+                if polarity == EX:
                     lhs = comp.leq(comp.exists_pr((a1, a2), x), y, ctx.budget) is not None
                     rhs = comp.leq(x, comp.reindex(pr1, y), ctx.budget) is not None
                 else:
                     lhs = comp.leq(comp.reindex(pr1, y), x, ctx.budget) is not None
                     rhs = comp.leq(y, comp.forall_pr((a1, a2), x), ctx.budget) is not None
                 if lhs != rhs:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
-                         "lhs": lhs, "rhs": rhs},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
+                                     "lhs": lhs, "rhs": rhs}
+    return checked, None
 
 
 def _law_pr_exp_adjunction(ctx):
     """reindex(pr1) -| forall_pr_exp on the existential completion."""
-    law = "completion-forall-pr-exp-adjunction"
     comp = ctx.comp_ex
     checked = 0
     for a1, a2 in _splittings(ctx):
@@ -247,15 +396,12 @@ def _law_pr_exp_adjunction(ctx):
                 lhs = comp.leq(comp.reindex(pr1, y), x, ctx.budget) is not None
                 rhs = comp.leq(y, fx, ctx.budget) is not None
                 if lhs != rhs:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
-                         "lhs": lhs, "rhs": rhs},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
+                                     "lhs": lhs, "rhs": rhs}
+    return checked, None
 
 
-def _law_inj_adjunction(ctx, comp, tag):
+def _law_inj_adjunction(ctx, polarity):
     """exists_inj -| reindex(j1) -| forall_inj on bounded fibers.
 
     Splits with an initial left summand are excluded: the fiber over the
@@ -265,7 +411,7 @@ def _law_inj_adjunction(ctx, comp, tag):
     a constant of the quantified object).  tests/test_completion.py pins
     that corner explicitly.
     """
-    law = f"completion-inj-adjunction-{tag}"
+    comp = ctx.completion(polarity)
     checked = 0
     initial = getattr(comp.cat, "initial", None)
     for a, b in _splittings(ctx):
@@ -282,20 +428,14 @@ def _law_inj_adjunction(ctx, comp, tag):
                 lhs = comp.leq(ex_x, y, ctx.budget) is not None
                 rhs = comp.leq(x, ry, ctx.budget) is not None
                 if lhs != rhs:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"side": "exists", "a": a, "b": b,
-                         "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs},
-                    )
+                    return checked, {"side": "exists", "a": a, "b": b,
+                                     "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs}
                 lhs = comp.leq(ry, x, ctx.budget) is not None
                 rhs = comp.leq(y, fa_x, ctx.budget) is not None
                 if lhs != rhs:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"side": "forall", "a": a, "b": b,
-                         "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"side": "forall", "a": a, "b": b,
+                                     "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs}
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +443,10 @@ def _law_inj_adjunction(ctx, comp, tag):
 # ---------------------------------------------------------------------------
 
 
-def suite_beck_chevalley(ctx: LawContext) -> list:
-    return [
-        _law_bc_projections(ctx.doctrine, ctx.objects, ctx.budget),
-        _law_bc_injections(ctx.doctrine, ctx.objects, ctx.budget),
-        _guard("completion-bc-exists-pr-strict", lambda: _law_bc_pr_strict(ctx, ctx.comp_ex, "exists")),
-        _guard("completion-bc-forall-pr-strict", lambda: _law_bc_pr_strict(ctx, ctx.comp_un, "forall")),
-        _guard("completion-bc-forall-pr-exp-strict", lambda: _law_bc_pr_exp_strict(ctx)),
-        _guard("completion-bc-inj-strict-ex", lambda: _law_bc_inj_strict(ctx, ctx.comp_ex, "ex")),
-        _guard("completion-bc-inj-strict-un", lambda: _law_bc_inj_strict(ctx, ctx.comp_un, "un")),
-    ]
-
-
-def _law_bc_pr_strict(ctx, comp, side):
+def _law_bc_pr_strict(ctx, polarity):
     """Substitution commutes with the freely added quantifier as literal
     triples, not just up to mutual order."""
-    law = f"completion-bc-{'exists' if side == 'exists' else 'forall'}-pr-strict"
+    comp = ctx.completion(polarity)
     checked = 0
     cat = comp.cat
     for f in ctx.arrows():
@@ -327,22 +455,18 @@ def _law_bc_pr_strict(ctx, comp, side):
             fx1 = product_map(cat, f, cat.identity(c))
             for x in comp.bounded_fiber(cat.product(a, c), ctx.qmax):
                 checked += 1
-                if side == "exists":
+                if polarity == EX:
                     left = comp.reindex(f, comp.exists_pr((a, c), x))
                     right = comp.exists_pr((d, c), comp.reindex(fx1, x))
                 else:
                     left = comp.reindex(f, comp.forall_pr((a, c), x))
                     right = comp.forall_pr((d, c), comp.reindex(fx1, x))
                 if left != right:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)}
+    return checked, None
 
 
 def _law_bc_pr_exp_strict(ctx):
-    law = "completion-bc-forall-pr-exp-strict"
     comp = ctx.comp_ex
     cat = comp.cat
     checked = 0
@@ -355,17 +479,14 @@ def _law_bc_pr_exp_strict(ctx):
                 left = comp.reindex(f, forall_pr_exp(comp, (a, c), x))
                 right = forall_pr_exp(comp, (d, c), comp.reindex(fx1, x))
                 if left != right:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)}
+    return checked, None
 
 
-def _law_bc_inj_strict(ctx, comp, tag):
+def _law_bc_inj_strict(ctx, polarity):
     """Injection squares g = f+h commute with the injection adjoints as
     literal triples."""
-    law = f"completion-bc-inj-strict-{tag}"
+    comp = ctx.completion(polarity)
     cat = comp.cat
     checked = 0
     for a in ctx.objects:
@@ -383,20 +504,14 @@ def _law_bc_inj_strict(ctx, comp, tag):
                                 left = comp.exists_inj((c, d), comp.reindex(f, x))
                                 right = comp.reindex(g, comp.exists_inj((a, b), x))
                                 if left != right:
-                                    return LawResult(
-                                        law, FAIL, checked,
-                                        {"side": "exists", "f": list(f.table), "h": list(h.table),
-                                         "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)},
-                                    )
+                                    return checked, {"side": "exists", "f": list(f.table), "h": list(h.table),
+                                                     "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)}
                                 left = comp.forall_inj((c, d), comp.reindex(f, x))
                                 right = comp.reindex(g, comp.forall_inj((a, b), x))
                                 if left != right:
-                                    return LawResult(
-                                        law, FAIL, checked,
-                                        {"side": "forall", "f": list(f.table), "h": list(h.table),
-                                         "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)},
-                                    )
-    return LawResult(law, PASS, checked)
+                                    return checked, {"side": "forall", "f": list(f.table), "h": list(h.table),
+                                                     "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)}
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +519,8 @@ def _law_bc_inj_strict(ctx, comp, tag):
 # ---------------------------------------------------------------------------
 
 
-def suite_lattice(ctx: LawContext) -> list:
-    results = [
-        _law_lat_fibers(ctx.doctrine, ctx.objects),
-        _law_reindex_preserves_lattice(ctx.doctrine, ctx.objects, ctx.budget),
-    ]
-    for comp, tag in ((ctx.comp_ex, "ex"), (ctx.comp_un, "un")):
-        results.append(_guard(f"completion-bounds-{tag}", lambda c=comp, t=tag: _law_bounds(ctx, c, t)))
-        results.append(_guard(f"completion-meet-universal-{tag}", lambda c=comp, t=tag: _law_meet_join(ctx, c, t, "meet")))
-        results.append(_guard(f"completion-join-universal-{tag}", lambda c=comp, t=tag: _law_meet_join(ctx, c, t, "join")))
-        results.append(_guard(f"completion-reindex-lattice-{tag}", lambda c=comp, t=tag: _law_reindex_lattice(ctx, c, t)))
-    return results
-
-
-def _law_bounds(ctx, comp, tag):
-    law = f"completion-bounds-{tag}"
+def _law_bounds(ctx, polarity):
+    comp = ctx.completion(polarity)
     checked = 0
     for a in ctx.objects:
         top = comp.top(a)
@@ -426,14 +528,14 @@ def _law_bounds(ctx, comp, tag):
         for x in comp.bounded_fiber(a, ctx.qmax):
             checked += 2
             if comp.leq(x, top, ctx.budget) is None:
-                return LawResult(law, FAIL, checked, {"kind": "top", "x": ctx.elem_json(x)})
+                return checked, {"kind": "top", "x": ctx.elem_json(x)}
             if comp.leq(bottom, x, ctx.budget) is None:
-                return LawResult(law, FAIL, checked, {"kind": "bottom", "x": ctx.elem_json(x)})
-    return LawResult(law, PASS, checked)
+                return checked, {"kind": "bottom", "x": ctx.elem_json(x)}
+    return checked, None
 
 
-def _law_meet_join(ctx, comp, tag, op):
-    law = f"completion-{op}-universal-{tag}"
+def _law_meet_join(ctx, polarity, op):
+    comp = ctx.completion(polarity)
     checked = 0
     for a in ctx.objects:
         elems = comp.bounded_fiber(a, ctx.qmax)
@@ -446,10 +548,7 @@ def _law_meet_join(ctx, comp, tag, op):
                     ok = comp.leq(x, m, ctx.budget) is not None and comp.leq(y, m, ctx.budget) is not None
                 checked += 2
                 if not ok:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"kind": "bound", "x": ctx.elem_json(x), "y": ctx.elem_json(y)},
-                    )
+                    return checked, {"kind": "bound", "x": ctx.elem_json(x), "y": ctx.elem_json(y)}
                 for z in elems:
                     checked += 1
                     if op == "meet":
@@ -459,52 +558,41 @@ def _law_meet_join(ctx, comp, tag, op):
                         lhs = comp.leq(m, z, ctx.budget) is not None
                         rhs = (comp.leq(x, z, ctx.budget) is not None) and (comp.leq(y, z, ctx.budget) is not None)
                     if lhs != rhs:
-                        return LawResult(
-                            law, FAIL, checked,
-                            {"kind": "universal", "x": ctx.elem_json(x), "y": ctx.elem_json(y),
-                             "z": ctx.elem_json(z), "lhs": lhs, "rhs": rhs},
-                        )
-    return LawResult(law, PASS, checked)
+                        return checked, {"kind": "universal", "x": ctx.elem_json(x), "y": ctx.elem_json(y),
+                                         "z": ctx.elem_json(z), "lhs": lhs, "rhs": rhs}
+    return checked, None
 
 
-def _law_reindex_lattice(ctx, comp, tag):
+def _law_reindex_lattice(ctx, polarity):
     """Reindexing preserves meets, joins, top and bottom up to mutual order."""
-    law = f"completion-reindex-lattice-{tag}"
+    comp = ctx.completion(polarity)
     checked = 0
 
-    def same(a, u, v):
+    def same(u, v):
         return comp.leq(u, v, ctx.budget) is not None and comp.leq(v, u, ctx.budget) is not None
 
     for f in ctx.arrows():
         d, a = f.dom, f.cod
         elems = comp.bounded_fiber(a, min(ctx.qmax, 1))
         checked += 2
-        if not same(d, comp.reindex(f, comp.top(a)), comp.top(d)):
-            return LawResult(law, FAIL, checked, {"f": list(f.table), "op": "top"})
-        if not same(d, comp.reindex(f, comp.bottom(a)), comp.bottom(d)):
-            return LawResult(law, FAIL, checked, {"f": list(f.table), "op": "bottom"})
+        if not same(comp.reindex(f, comp.top(a)), comp.top(d)):
+            return checked, {"f": list(f.table), "op": "top"}
+        if not same(comp.reindex(f, comp.bottom(a)), comp.bottom(d)):
+            return checked, {"f": list(f.table), "op": "bottom"}
         for x in elems:
             for y in elems:
                 checked += 2
                 if not same(
-                    d,
                     comp.reindex(f, comp.meet(a, x, y)),
                     comp.meet(d, comp.reindex(f, x), comp.reindex(f, y)),
                 ):
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"f": list(f.table), "op": "meet", "x": ctx.elem_json(x), "y": ctx.elem_json(y)},
-                    )
+                    return checked, {"f": list(f.table), "op": "meet", "x": ctx.elem_json(x), "y": ctx.elem_json(y)}
                 if not same(
-                    d,
                     comp.reindex(f, comp.join(a, x, y)),
                     comp.join(d, comp.reindex(f, x), comp.reindex(f, y)),
                 ):
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"f": list(f.table), "op": "join", "x": ctx.elem_json(x), "y": ctx.elem_json(y)},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"f": list(f.table), "op": "join", "x": ctx.elem_json(x), "y": ctx.elem_json(y)}
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
@@ -512,29 +600,19 @@ def _law_reindex_lattice(ctx, comp, tag):
 # ---------------------------------------------------------------------------
 
 
-def suite_duality(ctx: LawContext) -> list:
-    return [
-        _guard("duality-involution", lambda: _law_duality_involution(ctx)),
-        _guard("duality-order-matrix", lambda: _law_duality_matrix(ctx)),
-        _guard("duality-witnesses", lambda: _law_duality_witnesses(ctx)),
-    ]
-
-
 def _law_duality_involution(ctx):
-    law = "duality-involution"
     checked = 0
     for a in ctx.objects:
         for x in ctx.comp_un.bounded_fiber(a, ctx.qmax):
             checked += 1
             if duality_transport(duality_transport(x)) != x:
-                return LawResult(law, FAIL, checked, ctx.elem_json(x))
-    return LawResult(law, PASS, checked)
+                return checked, ctx.elem_json(x)
+    return checked, None
 
 
 def _law_duality_matrix(ctx):
     """The UN order matrix is the transpose of the EX matrix over the
     order-reversed base."""
-    law = "duality-order-matrix"
     comp_un = ctx.comp_un
     comp_dual = dual_completion(comp_un)
     checked = 0
@@ -547,17 +625,13 @@ def _law_duality_matrix(ctx):
                 un = comp_un.leq(x, y, ctx.budget) is not None
                 exop = comp_dual.leq(duals[j], duals[i], ctx.budget) is not None
                 if un != exop:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"x": ctx.elem_json(x), "y": ctx.elem_json(y), "un": un, "ex-op": exop},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"x": ctx.elem_json(x), "y": ctx.elem_json(y), "un": un, "ex-op": exop}
+    return checked, None
 
 
 def _law_duality_witnesses(ctx):
     """A positive UN decision and its mirrored EX decision certify each
     other with the same arrow."""
-    law = "duality-witnesses"
     comp_un = ctx.comp_un
     comp_dual = dual_completion(comp_un)
     checked = 0
@@ -571,11 +645,8 @@ def _law_duality_witnesses(ctx):
                 checked += 1
                 w2 = comp_dual.leq(duality_transport(y), duality_transport(x), ctx.budget)
                 if w2 is None or w2.arrow != w.arrow:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"x": ctx.elem_json(x), "y": ctx.elem_json(y)},
-                    )
-    return LawResult(law, PASS, checked)
+                    return checked, {"x": ctx.elem_json(x), "y": ctx.elem_json(y)}
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +654,9 @@ def _law_duality_witnesses(ctx):
 # ---------------------------------------------------------------------------
 
 
-def suite_monad(ctx: LawContext) -> list:
-    results = []
-    for comp, tag in ((ctx.comp_ex, "ex"), (ctx.comp_un, "un")):
-        results.append(_guard(f"monad-unit-laws-{tag}", lambda c=comp, t=tag: _law_monad_units(ctx, c, t)))
-    results.append(_guard("monad-prenex", lambda: _law_prenex(ctx)))
-    results.append(_guard("monad-unit-forall-commute", lambda: _law_unit_forall(ctx)))
-    return results
-
-
-def _law_monad_units(ctx, comp, tag):
+def _law_monad_units(ctx, polarity):
     """Both unit laws of the completion monad, up to mutual order."""
-    law = f"monad-unit-laws-{tag}"
+    comp = ctx.completion(polarity)
     doubled = Completion(comp, comp.polarity, ctx.budget)
     checked = 0
 
@@ -606,17 +668,16 @@ def _law_monad_units(ctx, comp, tag):
             checked += 2
             outer = comp.mult(doubled.unit(a, x))
             if not same(outer, x):
-                return LawResult(law, FAIL, checked, {"kind": "outer-unit", "x": ctx.elem_json(x)})
+                return checked, {"kind": "outer-unit", "x": ctx.elem_json(x)}
             ab = comp.cat.product(a, x.qobj)
             inner = comp.mult(doubled.elem(a, x.qobj, comp.unit(ab, x.pred)))
             if not same(inner, x):
-                return LawResult(law, FAIL, checked, {"kind": "inner-unit", "x": ctx.elem_json(x)})
-    return LawResult(law, PASS, checked)
+                return checked, {"kind": "inner-unit", "x": ctx.elem_json(x)}
+    return checked, None
 
 
 def _law_prenex(ctx):
     """Every element is the image of its own predicate under unit-then-exists."""
-    law = "monad-prenex"
     comp = ctx.comp_ex
     checked = 0
     for a in ctx.objects:
@@ -628,14 +689,13 @@ def _law_prenex(ctx):
                 comp.leq(prenexed, x, ctx.budget) is not None
                 and comp.leq(x, prenexed, ctx.budget) is not None
             ):
-                return LawResult(law, FAIL, checked, ctx.elem_json(x))
-    return LawResult(law, PASS, checked)
+                return checked, ctx.elem_json(x)
+    return checked, None
 
 
 def _law_unit_forall(ctx):
     """Unit commutes with the universal quantifier: embedding after forall
     agrees with the exponential forall of the embedding."""
-    law = "monad-unit-forall-commute"
     comp = ctx.comp_ex
     doc = ctx.doctrine
     checked = 0
@@ -650,8 +710,8 @@ def _law_unit_forall(ctx):
                     comp.leq(left, right, ctx.budget) is not None
                     and comp.leq(right, left, ctx.budget) is not None
                 ):
-                    return LawResult(law, FAIL, checked, {"a1": a1, "a2": a2, "alpha": alpha})
-    return LawResult(law, PASS, checked)
+                    return checked, {"a1": a1, "a2": a2, "alpha": alpha}
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +719,8 @@ def _law_unit_forall(ctx):
 # ---------------------------------------------------------------------------
 
 
-def suite_skolem(ctx: LawContext) -> list:
-    return [
-        _guard("skolem-full-sweep", lambda: _law_skolem_sweep(ctx)),
-        _guard("skolem-sampled", lambda: _law_skolem_sampled(ctx)),
-        _guard("rule-of-choice", lambda: _law_choice(ctx)),
-        _guard("counterexample-property", lambda: _law_counterexample(ctx)),
-    ]
-
-
 def _law_skolem_sweep(ctx):
     """Every predicate over the smallest nondegenerate shape."""
-    law = "skolem-full-sweep"
     comp = ctx.comp_ex
     doc = ctx.doctrine
     checked = 0
@@ -680,30 +730,28 @@ def _law_skolem_sweep(ctx):
             checked += 1
             rep = skolem_check(comp, a1, a2, b, alpha, ctx.budget)
             if not rep.equal:
-                return LawResult(law, FAIL, checked, {"a1": a1, "a2": a2, "b": b, "alpha": alpha})
-    return LawResult(law, PASS, checked)
+                return checked, {"a1": a1, "a2": a2, "b": b, "alpha": alpha}
+    return checked, None
 
 
-def _law_skolem_sampled(ctx, samples: int = 40):
-    """Seeded sample of predicates over a larger shape."""
-    law = "skolem-sampled"
+def _law_skolem_sampled(ctx):
+    """Seeded sample of 40 predicates over a larger shape."""
     comp = ctx.comp_ex
     rng = random.Random(ctx.seed)
     a1, a2, b = 2, 2, 3
     carrier = a1 * a2 * b
     checked = 0
-    for _ in range(samples):
+    for _ in range(40):
         alpha = rng.randrange(1 << carrier)
         checked += 1
         rep = skolem_check(comp, a1, a2, b, alpha, ctx.budget)
         if not rep.equal:
-            return LawResult(law, FAIL, checked, {"a1": a1, "a2": a2, "b": b, "alpha": alpha})
-    return LawResult(law, PASS, checked)
+            return checked, {"a1": a1, "a2": a2, "b": b, "alpha": alpha}
+    return checked, None
 
 
 def _law_choice(ctx):
     """Certificates exist exactly for total predicates and always validate."""
-    law = "rule-of-choice"
     comp = ctx.comp_ex
     doc = ctx.doctrine
     checked = 0
@@ -716,19 +764,15 @@ def _law_choice(ctx):
                 cert = extract_choice(comp, x, ctx.budget)
                 total = all(any((alpha >> (aa * b + bb)) & 1 for bb in range(b)) for aa in range(a))
                 if (cert is not None) != total:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"a": a, "b": b, "alpha": alpha, "got": cert is not None, "want": total},
-                    )
+                    return checked, {"a": a, "b": b, "alpha": alpha, "got": cert is not None, "want": total}
                 if cert is not None and not all(
                     (alpha >> (aa * b + cert.witness.table[aa])) & 1 for aa in range(a)
                 ):
-                    return LawResult(law, FAIL, checked, {"a": a, "b": b, "alpha": alpha, "kind": "unsound"})
-    return LawResult(law, PASS, checked)
+                    return checked, {"a": a, "b": b, "alpha": alpha, "kind": "unsound"}
+    return checked, None
 
 
 def _law_counterexample(ctx):
-    law = "counterexample-property"
     comp = ctx.comp_un
     doc = ctx.doctrine
     checked = 0
@@ -741,15 +785,12 @@ def _law_counterexample(ctx):
                 cert = extract_counterexample(comp, x, ctx.budget)
                 refutable = all(any(not ((alpha >> (aa * b + bb)) & 1) for bb in range(b)) for aa in range(a))
                 if (cert is not None) != refutable:
-                    return LawResult(
-                        law, FAIL, checked,
-                        {"a": a, "b": b, "alpha": alpha, "got": cert is not None, "want": refutable},
-                    )
+                    return checked, {"a": a, "b": b, "alpha": alpha, "got": cert is not None, "want": refutable}
                 if cert is not None and any(
                     (alpha >> (aa * b + cert.counterexample.table[aa])) & 1 for aa in range(a)
                 ):
-                    return LawResult(law, FAIL, checked, {"a": a, "b": b, "alpha": alpha, "kind": "unsound"})
-    return LawResult(law, PASS, checked)
+                    return checked, {"a": a, "b": b, "alpha": alpha, "kind": "unsound"}
+    return checked, None
 
 
 # ---------------------------------------------------------------------------
@@ -757,19 +798,9 @@ def _law_counterexample(ctx):
 # ---------------------------------------------------------------------------
 
 
-def suite_dialectica(ctx: LawContext) -> list:
-    return [
-        _guard("dialectica-order-equivalence", lambda: _law_dial_equivalence(ctx)),
-        _guard("dialectica-roundtrip", lambda: _law_dial_roundtrip(ctx)),
-        _guard("dialectica-lattice", lambda: _law_dial_lattice(ctx)),
-        _guard("composite-structure", lambda: _law_composite_structure(ctx)),
-    ]
-
-
 def _law_dial_equivalence(ctx):
     """The nested-completion order and the direct (f, F) condition agree on
     every bounded pair, with translating witnesses."""
-    law = "dialectica-order-equivalence"
     doc = ctx.doctrine
     nested = nested_completion(doc, ctx.budget)
     objs = bounded_dialobjs(doc, ctx.max_card)
@@ -782,24 +813,20 @@ def _law_dial_equivalence(ctx):
             direct = dial_leq(doc, u, v, ctx.budget)
             via_nested = nested.leq(zu, zv, ctx.budget)
             if (direct is None) != (via_nested is None):
-                return LawResult(
-                    law, FAIL, checked,
-                    {"u": _dial_json(doc, u), "v": _dial_json(doc, v),
-                     "direct": direct is not None, "nested": via_nested is not None},
-                )
-    return LawResult(law, PASS, checked)
+                return checked, {"u": _dial_json(doc, u), "v": _dial_json(doc, v),
+                                 "direct": direct is not None, "nested": via_nested is not None}
+    return checked, None
 
 
 def _law_dial_roundtrip(ctx):
-    law = "dialectica-roundtrip"
     doc = ctx.doctrine
     nested = nested_completion(doc, ctx.budget)
     checked = 0
     for u in bounded_dialobjs(doc, ctx.max_card):
         checked += 1
         if dial_from_nested(nested, dial_to_nested(nested, u)) != u:
-            return LawResult(law, FAIL, checked, _dial_json(doc, u))
-    return LawResult(law, PASS, checked)
+            return checked, _dial_json(doc, u)
+    return checked, None
 
 
 def _law_dial_lattice(ctx):
@@ -812,7 +839,6 @@ def _law_dial_lattice(ctx):
     injection-adjunction law excludes).  The lattice_check itself runs on
     the full bounded poset.
     """
-    law = "dialectica-lattice"
     doc = ctx.doctrine
     nested = nested_completion(doc, ctx.budget)
     objs = bounded_dialobjs(doc, ctx.max_card)
@@ -821,7 +847,7 @@ def _law_dial_lattice(ctx):
     rep = lattice_check(poset)
     checked = pre.n * pre.n
     if not rep.ok:
-        return LawResult(law, FAIL, checked, {"failures": rep.failures[:3]})
+        return checked, {"failures": rep.failures[:3]}
     one = doc.cat.terminal
     initial = doc.cat.initial
     for i, u in enumerate(objs):
@@ -834,24 +860,18 @@ def _law_dial_lattice(ctx):
             j_class = objs[[k for k in range(pre.n) if proj.table[k] == rep.join[key]][0]]
             checked += 1
             m = nested.meet(one, zu, zv)
-            if not _dial_same(doc, nested, m, dial_to_nested(nested, m_class), ctx.budget):
-                return LawResult(
-                    law, FAIL, checked,
-                    {"op": "meet", "u": _dial_json(doc, u), "v": _dial_json(doc, v)},
-                )
+            if not _dial_same(nested, m, dial_to_nested(nested, m_class), ctx.budget):
+                return checked, {"op": "meet", "u": _dial_json(doc, u), "v": _dial_json(doc, v)}
             if u.src == initial or v.src == initial:
                 continue
             checked += 1
             jn = nested.join(one, zu, zv)
-            if not _dial_same(doc, nested, jn, dial_to_nested(nested, j_class), ctx.budget):
-                return LawResult(
-                    law, FAIL, checked,
-                    {"op": "join", "u": _dial_json(doc, u), "v": _dial_json(doc, v)},
-                )
-    return LawResult(law, PASS, checked)
+            if not _dial_same(nested, jn, dial_to_nested(nested, j_class), ctx.budget):
+                return checked, {"op": "join", "u": _dial_json(doc, u), "v": _dial_json(doc, v)}
+    return checked, None
 
 
-def _dial_same(doc, nested, x, y, budget):
+def _dial_same(nested, x, y, budget):
     return nested.leq(x, y, budget) is not None and nested.leq(y, x, budget) is not None
 
 
@@ -859,7 +879,6 @@ def _law_composite_structure(ctx):
     """The composite completion supports both quantifiers, both injection
     adjoints and the lattice operations at once; spot-check each against
     its universal property on a small bounded fiber."""
-    law = "composite-structure"
     doc = ctx.doctrine
     nested = nested_completion(doc, ctx.budget)
     inner: Completion = nested.base
@@ -881,11 +900,11 @@ def _law_composite_structure(ctx):
                 if (nested.leq(ex_x, y, ctx.budget) is not None) != (
                     nested.leq(x, nested.reindex(pr1, y), ctx.budget) is not None
                 ):
-                    return LawResult(law, FAIL, checked, {"op": "exists_pr", "a1": a1, "a2": a2})
+                    return checked, {"op": "exists_pr", "a1": a1, "a2": a2}
                 if (nested.leq(nested.reindex(pr1, y), x, ctx.budget) is not None) != (
                     nested.leq(y, fa_x, ctx.budget) is not None
                 ):
-                    return LawResult(law, FAIL, checked, {"op": "forall_pr", "a1": a1, "a2": a2})
+                    return checked, {"op": "forall_pr", "a1": a1, "a2": a2}
     for a, b in ((1, 1), (2, 1)):
         j1 = nested.cat.inj1(a, b)
         cop = nested.cat.coproduct(a, b)
@@ -898,11 +917,11 @@ def _law_composite_structure(ctx):
                 if (nested.leq(ex_x, y, ctx.budget) is not None) != (
                     nested.leq(x, ry, ctx.budget) is not None
                 ):
-                    return LawResult(law, FAIL, checked, {"op": "exists_inj", "a": a, "b": b})
+                    return checked, {"op": "exists_inj", "a": a, "b": b}
                 if (nested.leq(ry, x, ctx.budget) is not None) != (
                     nested.leq(y, fa_x, ctx.budget) is not None
                 ):
-                    return LawResult(law, FAIL, checked, {"op": "forall_inj", "a": a, "b": b})
+                    return checked, {"op": "forall_inj", "a": a, "b": b}
     initial = nested.cat.initial
     for a in (1, 2):
         elems = bounded(a)
@@ -915,7 +934,7 @@ def _law_composite_structure(ctx):
                         nested.leq(z, x, ctx.budget) is not None
                         and nested.leq(z, y, ctx.budget) is not None
                     ):
-                        return LawResult(law, FAIL, checked, {"op": "meet", "a": a})
+                        return checked, {"op": "meet", "a": a}
                 if x.qobj == initial or y.qobj == initial:
                     # joins transport the inner injection adjoint, which is
                     # not adjoint on the empty summand
@@ -927,29 +946,157 @@ def _law_composite_structure(ctx):
                         nested.leq(x, z, ctx.budget) is not None
                         and nested.leq(y, z, ctx.budget) is not None
                     ):
-                        return LawResult(law, FAIL, checked, {"op": "join", "a": a})
-    return LawResult(law, PASS, checked)
+                        return checked, {"op": "join", "a": a}
+    return checked, None
 
 
 def _dial_json(doc, u: DialObj):
-    return {"src": u.src, "tgt": u.tgt, "pred": doc.pred_to_json(None, u.pred)}
+    return {"src": u.src, "tgt": u.tgt, "pred": doc.pred_to_json(doc.cat.product(u.src, u.tgt), u.pred)}
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# the law table, the outcome policy and the entry points
 # ---------------------------------------------------------------------------
 
 
-_SUITE_FNS = {
-    "functoriality": suite_functoriality,
-    "adjunctions": suite_adjunctions,
-    "beck-chevalley": suite_beck_chevalley,
-    "lattice": suite_lattice,
-    "duality": suite_duality,
-    "monad": suite_monad,
-    "skolem": suite_skolem,
-    "dialectica-oracle": suite_dialectica,
+# law name -> (body, the arguments it takes after the context)
+_LAWS = {
+    "reindex-identity": (_law_reindex_identity,),
+    "reindex-composition": (_law_reindex_composition,),
+    "reindex-monotone": (_law_reindex_monotone,),
+    "adjunction-exists-along": (_law_adjunction_along, "exists"),
+    "adjunction-forall-along": (_law_adjunction_along, "forall"),
+    "beck-chevalley-projections": (_law_bc_projections,),
+    "beck-chevalley-injections": (_law_bc_injections,),
+    "lat-fibers": (_law_lat_fibers,),
+    "reindex-preserves-lattice": (_law_reindex_preserves_lattice,),
+    "completion-leq-reflexive-ex": (_law_leq_reflexive, EX),
+    "completion-leq-reflexive-un": (_law_leq_reflexive, UN),
+    "completion-leq-transitive-ex": (_law_leq_transitive, EX),
+    "completion-leq-transitive-un": (_law_leq_transitive, UN),
+    "completion-reindex-functorial-ex": (_law_reindex_q_functorial, EX),
+    "completion-reindex-functorial-un": (_law_reindex_q_functorial, UN),
+    "completion-exists-pr-adjunction": (_law_pr_adjunction, EX),
+    "completion-forall-pr-adjunction": (_law_pr_adjunction, UN),
+    "completion-forall-pr-exp-adjunction": (_law_pr_exp_adjunction,),
+    "completion-inj-adjunction-ex": (_law_inj_adjunction, EX),
+    "completion-inj-adjunction-un": (_law_inj_adjunction, UN),
+    "completion-bc-exists-pr-strict": (_law_bc_pr_strict, EX),
+    "completion-bc-forall-pr-strict": (_law_bc_pr_strict, UN),
+    "completion-bc-forall-pr-exp-strict": (_law_bc_pr_exp_strict,),
+    "completion-bc-inj-strict-ex": (_law_bc_inj_strict, EX),
+    "completion-bc-inj-strict-un": (_law_bc_inj_strict, UN),
+    "completion-bounds-ex": (_law_bounds, EX),
+    "completion-bounds-un": (_law_bounds, UN),
+    "completion-meet-universal-ex": (_law_meet_join, EX, "meet"),
+    "completion-meet-universal-un": (_law_meet_join, UN, "meet"),
+    "completion-join-universal-ex": (_law_meet_join, EX, "join"),
+    "completion-join-universal-un": (_law_meet_join, UN, "join"),
+    "completion-reindex-lattice-ex": (_law_reindex_lattice, EX),
+    "completion-reindex-lattice-un": (_law_reindex_lattice, UN),
+    "duality-involution": (_law_duality_involution,),
+    "duality-order-matrix": (_law_duality_matrix,),
+    "duality-witnesses": (_law_duality_witnesses,),
+    "monad-unit-laws-ex": (_law_monad_units, EX),
+    "monad-unit-laws-un": (_law_monad_units, UN),
+    "monad-prenex": (_law_prenex,),
+    "monad-unit-forall-commute": (_law_unit_forall,),
+    "skolem-full-sweep": (_law_skolem_sweep,),
+    "skolem-sampled": (_law_skolem_sampled,),
+    "rule-of-choice": (_law_choice,),
+    "counterexample-property": (_law_counterexample,),
+    "dialectica-order-equivalence": (_law_dial_equivalence,),
+    "dialectica-roundtrip": (_law_dial_roundtrip,),
+    "dialectica-lattice": (_law_dial_lattice,),
+    "composite-structure": (_law_composite_structure,),
 }
+
+_SUITE_LAWS = {
+    "functoriality": (
+        "reindex-identity", "reindex-composition", "reindex-monotone",
+        "completion-leq-reflexive-ex", "completion-leq-transitive-ex", "completion-reindex-functorial-ex",
+        "completion-leq-reflexive-un", "completion-leq-transitive-un", "completion-reindex-functorial-un",
+    ),
+    "adjunctions": (
+        "adjunction-exists-along", "adjunction-forall-along",
+        "completion-exists-pr-adjunction", "completion-forall-pr-adjunction",
+        "completion-forall-pr-exp-adjunction",
+        "completion-inj-adjunction-ex", "completion-inj-adjunction-un",
+    ),
+    "beck-chevalley": (
+        "beck-chevalley-projections", "beck-chevalley-injections",
+        "completion-bc-exists-pr-strict", "completion-bc-forall-pr-strict",
+        "completion-bc-forall-pr-exp-strict",
+        "completion-bc-inj-strict-ex", "completion-bc-inj-strict-un",
+    ),
+    "lattice": (
+        "lat-fibers", "reindex-preserves-lattice",
+        "completion-bounds-ex", "completion-meet-universal-ex",
+        "completion-join-universal-ex", "completion-reindex-lattice-ex",
+        "completion-bounds-un", "completion-meet-universal-un",
+        "completion-join-universal-un", "completion-reindex-lattice-un",
+    ),
+    "duality": ("duality-involution", "duality-order-matrix", "duality-witnesses"),
+    "monad": ("monad-unit-laws-ex", "monad-unit-laws-un", "monad-prenex", "monad-unit-forall-commute"),
+    "skolem": ("skolem-full-sweep", "skolem-sampled", "rule-of-choice", "counterexample-property"),
+    "dialectica-oracle": (
+        "dialectica-order-equivalence", "dialectica-roundtrip", "dialectica-lattice", "composite-structure",
+    ),
+}
+
+SUITES = tuple(_SUITE_LAWS)
+
+
+def run_laws(ctx: LawContext, laws) -> list:
+    """Check the named laws, in order, under the one outcome policy.
+
+    A law body returns (checked, first counterexample or None): PASS
+    without a counterexample, FAIL with one.  A law cut short by the search
+    budget or by a missing capability is SKIPPED with the reason, never
+    PASS.  A witness that fails re-certification is a FAIL: the decision
+    procedure caught the doctrine contradicting itself.
+    """
+    results = []
+    for law in laws:
+        body, *args = _LAWS[law]
+        status, checked, cex, detail = PASS, 0, None, ""
+        try:
+            checked, cex = body(ctx, *args)
+        except (SearchBudgetExceeded, CapabilityError) as exc:
+            status, detail = SKIPPED, str(exc)
+        except WitnessValidationError as exc:
+            cex = {"witness-validation": str(exc)}
+        if cex is not None:
+            status = FAIL
+        results.append(LawResult(law, status, checked, cex, detail))
+    return results
+
+
+# suite name -> callable(ctx) returning the suite's results; one callable
+# per suite, so that perfbench/spans.py can wrap each suite in a span
+_SUITE_FNS = {name: partial(run_laws, laws=laws) for name, laws in _SUITE_LAWS.items()}
+
+
+def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None) -> LawReport:
+    """Check functoriality, monotonicity, declared adjunctions and the
+    Beck-Chevalley squares of projections and injections, plus lattice
+    structure when the doctrine claims it.  Never passes silently: anything
+    cut short by a budget or a missing capability is reported SKIPPED with
+    the reason.
+    """
+    laws = ["reindex-identity", "reindex-composition", "reindex-monotone"]
+    if CAP_ALONG_ALL in doc.caps or doc._has_any_adjoint_tables():
+        laws += ["adjunction-exists-along", "adjunction-forall-along"]
+    if CAP_EX_PR in doc.caps or CAP_UN_PR in doc.caps:
+        laws.append("beck-chevalley-projections")
+    if CAP_INJ_LEFT in doc.caps or CAP_INJ_RIGHT in doc.caps:
+        laws.append("beck-chevalley-injections")
+    if CAP_LAT in doc.caps:
+        laws += ["lat-fibers", "reindex-preserves-lattice"]
+    report = LawReport(suite="doctrine", bounds={"max_card": max_card})
+    report.extend(run_laws(LawContext(doc, max_card, budget=budget), laws))
+    report.sort()
+    return report
 
 
 def run_suite(name: str, ctx: LawContext | None = None, **kwargs) -> LawReport:

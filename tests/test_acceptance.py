@@ -6,37 +6,15 @@ way out; pytest -v additionally shows one line per criterion by name.
 """
 
 import json
+from pathlib import Path
 
 from doctrines.completion import EX, Completion
-from doctrines.doctrine import (
-    PowersetDoctrine,
-    powerset_doctrine,
-    verify_doctrine,
-)
-from doctrines.laws import (
-    LawContext,
-    _law_bc_pr_exp_strict,
-    _law_bc_pr_strict,
-    _law_bc_inj_strict,
-    _law_choice,
-    _law_counterexample,
-    _law_dial_equivalence,
-    _law_dial_lattice,
-    _law_duality_matrix,
-    _law_duality_witnesses,
-    _law_inj_adjunction,
-    _law_monad_units,
-    _law_pr_adjunction,
-    _law_pr_exp_adjunction,
-    _law_prenex,
-    _law_skolem_sampled,
-    _law_skolem_sweep,
-    _law_unit_forall,
-    run_suite,
-)
+from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
+from doctrines.laws import LawContext, run_laws, run_suite, verify_doctrine
 from doctrines.report import PASS
 
 CTX = LawContext(max_card=2, qmax=2, seed=2024)
+EXPECTED_LAWS = Path(__file__).resolve().parents[1] / "perfbench" / "laws_expected.json"
 
 
 def _ok(criterion, results, min_checked=0):
@@ -89,31 +67,31 @@ def test_criterion_03_projection_adjunctions():
     """exists_pr -| reindex(pr) on EX and reindex(pr) -| forall_pr on UN,
     as full equivalence tables on bounded fibers; the exponential forall
     on EX fibers satisfies the same table."""
-    _ok(3, [
-        _law_pr_adjunction(CTX, CTX.comp_ex, left=True),
-        _law_pr_adjunction(CTX, CTX.comp_un, left=False),
-        _law_pr_exp_adjunction(CTX),
-    ], min_checked=10000)
+    _ok(3, run_laws(CTX, [
+        "completion-exists-pr-adjunction",
+        "completion-forall-pr-adjunction",
+        "completion-forall-pr-exp-adjunction",
+    ]), min_checked=10000)
 
 
 def test_criterion_04_strict_beck_chevalley():
     """Substitution commutes with the projection quantifiers as literal
     triples, for all arrows between objects of card <= 2; likewise for the
     exponential forall."""
-    _ok(4, [
-        _law_bc_pr_strict(CTX, CTX.comp_un, "forall"),
-        _law_bc_pr_strict(CTX, CTX.comp_ex, "exists"),
-        _law_bc_pr_exp_strict(CTX),
-    ], min_checked=1000)
+    _ok(4, run_laws(CTX, [
+        "completion-bc-forall-pr-strict",
+        "completion-bc-exists-pr-strict",
+        "completion-bc-forall-pr-exp-strict",
+    ]), min_checked=1000)
 
 
 def test_criterion_05_duality():
     """The UN order matrix is the transpose of the EX matrix over the
     reversed base, on every bounded fiber, with equal witnesses."""
-    _ok(5, [
-        _law_duality_matrix(CTX),
-        _law_duality_witnesses(CTX),
-    ], min_checked=400)
+    _ok(5, run_laws(CTX, [
+        "duality-order-matrix",
+        "duality-witnesses",
+    ]), min_checked=400)
 
 
 def test_criterion_06_lattice_structure():
@@ -130,53 +108,53 @@ def test_criterion_07_injection_adjoints():
     construction, pinned in test_completion.py and recorded in the
     decisions ledger), plus the injection-square BC equalities on all
     squares including the degenerate ones."""
-    _ok(7, [
-        _law_inj_adjunction(CTX, CTX.comp_ex, "ex"),
-        _law_inj_adjunction(CTX, CTX.comp_un, "un"),
-        _law_bc_inj_strict(CTX, CTX.comp_ex, "ex"),
-        _law_bc_inj_strict(CTX, CTX.comp_un, "un"),
-    ], min_checked=5000)
+    _ok(7, run_laws(CTX, [
+        "completion-inj-adjunction-ex",
+        "completion-inj-adjunction-un",
+        "completion-bc-inj-strict-ex",
+        "completion-bc-inj-strict-un",
+    ]), min_checked=5000)
 
 
 def test_criterion_08_monad_identities():
     """Both unit laws of the completion monad up to mutual order, the
     unit/forall commutation, and the prenex identity."""
-    _ok(8, [
-        _law_monad_units(CTX, CTX.comp_ex, "ex"),
-        _law_monad_units(CTX, CTX.comp_un, "un"),
-        _law_unit_forall(CTX),
-        _law_prenex(CTX),
-    ], min_checked=100)
+    _ok(8, run_laws(CTX, [
+        "monad-unit-laws-ex",
+        "monad-unit-laws-un",
+        "monad-unit-forall-commute",
+        "monad-prenex",
+    ]), min_checked=100)
 
 
 def test_criterion_09_skolemization():
     """Quantifier exchange reports equal for every predicate on the two
     smallest shapes (full sweeps of 2^4 and 2^8) and on a fixed-seed
     sample above them."""
-    _ok(9, [
-        _law_skolem_sweep(CTX),
-        _law_skolem_sampled(CTX),
-    ], min_checked=16 + 256 + 40)
+    _ok(9, run_laws(CTX, [
+        "skolem-full-sweep",
+        "skolem-sampled",
+    ]), min_checked=16 + 256 + 40)
 
 
 def test_criterion_10_choice_principles():
     """Choice witnesses and counterexamples are sound and complete against
     exhaustive semantic checks for all predicates on bases of card <= 2."""
     # 31 predicates exist over all (a, b) with a, b <= 2
-    _ok(10, [
-        _law_choice(CTX),
-        _law_counterexample(CTX),
-    ], min_checked=2 * 31)
+    _ok(10, run_laws(CTX, [
+        "rule-of-choice",
+        "counterexample-property",
+    ]), min_checked=2 * 31)
 
 
 def test_criterion_11_dialectica_oracle():
     """The nested-completion order and the direct (f, F) condition agree
     on every bounded pair, and the reflected bounded dialectica preorder
     is a lattice."""
-    _ok(11, [
-        _law_dial_equivalence(CTX),
-        _law_dial_lattice(CTX),
-    ], min_checked=31 * 31)
+    _ok(11, run_laws(CTX, [
+        "dialectica-order-equivalence",
+        "dialectica-lattice",
+    ]), min_checked=31 * 31)
 
 
 def test_criterion_12_negative_controls():
@@ -227,7 +205,8 @@ def test_criterion_12_negative_controls():
 
 def test_runtime_budget_sanity():
     """The whole acceptance battery re-run through the aggregate suite
-    stays inside the runtime budget by a wide margin."""
+    stays inside the runtime budget by a wide margin, and checks every law
+    exactly as many times as the benchmark's reference counts say."""
     import time
 
     start = time.perf_counter()
@@ -235,3 +214,5 @@ def test_runtime_budget_sanity():
     elapsed = time.perf_counter() - start
     assert rep.ok
     assert elapsed < 240, f"aggregate suite took {elapsed:.0f}s"
+    expected = json.loads(EXPECTED_LAWS.read_text())
+    assert {r.law: r.checked for r in rep.results} == expected

@@ -36,9 +36,10 @@ class TestLeq:
         assert payload["holds"] is True and payload["witness"] == [0, 0]
 
     def test_bad_element(self, capsys):
-        code, _, err = run(capsys, "leq", '{"polarity": "EX"}', elem("EX", 1, 1, [0]))
-        assert code == 3
-        assert "input error" in err
+        for bad in ('{"polarity": "EX"}', '{"polarity": "XX"}', elem("EX", 1, 1, 5)):
+            code, _, err = run(capsys, "leq", bad, elem("EX", 1, 1, [0]))
+            assert code == 3
+            assert "input error" in err
 
     def test_pred_out_of_range(self, capsys):
         code, _, err = run(capsys, "leq", elem("EX", 1, 1, [7]), elem("EX", 1, 1, [0]))
@@ -158,7 +159,7 @@ class TestVerifyLaws:
 
 
 class TestCheckDoctrine:
-    def make_doctrine_file(self, tmp_path, broken=False):
+    def make_doctrine_file(self, tmp_path, broken=False, capabilities=()):
         cat_data = skel_category_json(1)
         fibers = {
             "n0": {"elements": ["e"], "leq": []},
@@ -171,7 +172,8 @@ class TestCheckDoctrine:
             else:
                 reindex[arrow["id"]] = [1, 1] if broken else [0, 1]
         path = tmp_path / ("broken.json" if broken else "good.json")
-        path.write_text(json.dumps({"category": cat_data, "fibers": fibers, "reindex": reindex}))
+        path.write_text(json.dumps({"category": cat_data, "fibers": fibers, "reindex": reindex,
+                                    "capabilities": list(capabilities)}))
         return str(path)
 
     def test_good_file(self, capsys, tmp_path):
@@ -184,6 +186,19 @@ class TestCheckDoctrine:
         code, out, _ = run(capsys, "check-doctrine", path)
         assert code == 2
         assert "FAIL" in out and "reindex-identity" in out
+
+    def test_claimed_capabilities_without_providers_skip(self, capsys, tmp_path):
+        path = self.make_doctrine_file(
+            tmp_path, capabilities=["existential-over-projections", "lat-fibers"]
+        )
+        code, out, _ = run(capsys, "--json", "check-doctrine", path)
+        assert code == 0
+        results = {r["law"]: r for r in json.loads(out)["results"]}
+        assert results["beck-chevalley-projections"]["status"] == "SKIPPED"
+        assert results["beck-chevalley-projections"]["detail"] == "missing capability existential-over-projections"
+        for law in ("lat-fibers", "reindex-preserves-lattice"):
+            assert results[law]["status"] == "SKIPPED"
+            assert results[law]["detail"] == "no meet provider"
 
     def test_structural_error_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 """Completion layer: order decisions against hom-set enumeration, the
 quantifier adjoints, lattice formulas, duality, and the monad."""
 
+import json
+
 import pytest
 
 from doctrines.completion import (
@@ -12,6 +14,7 @@ from doctrines.completion import (
     exists_proj,
     forall_proj,
 )
+from doctrines.dialectica import nested_completion
 from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
 from doctrines.errors import CapabilityError, SearchBudgetExceeded
 
@@ -391,3 +394,26 @@ class TestUnPolarity:
                 lhs = un.leq(un.reindex(pr1, y), x) is not None
                 rhs = un.leq(y, fx) is not None
                 assert lhs == rhs
+
+
+class TestSerialization:
+    def test_element_shape(self):
+        x = ex.elem(1, 2, 0b10)
+        assert ex.pred_to_json(1, x) == {"polarity": "EX", "base": 1, "qobj": 2, "pred": [1]}
+
+    def test_roundtrip(self):
+        nested = nested_completion(P)
+        cases = [(comp, comp.bounded_fiber(a, 2)) for comp in (ex, un) for a in range(3)]
+        cases.append((nested, nested.bounded_fiber(1, 1, preds=lambda ob: nested.base.bounded_fiber(ob, 1))))
+        for comp, elems in cases:
+            for x in elems:
+                data = comp.pred_to_json(x.base, x)
+                assert json.loads(json.dumps(data)) == data
+                assert comp.pred_from_json(x.base, data) == x
+
+    def test_wrong_object_or_polarity_rejected(self):
+        data = ex.pred_to_json(1, ex.elem(1, 2, 0b10))
+        with pytest.raises(ValueError):
+            ex.pred_from_json(2, data)
+        with pytest.raises(ValueError):
+            un.pred_from_json(1, data)

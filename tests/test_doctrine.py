@@ -12,10 +12,10 @@ from doctrines.doctrine import (
     mask_from_indices,
     op_doctrine,
     powerset_doctrine,
-    verify_doctrine,
 )
 from doctrines.errors import LoadError
 from doctrines.fincat import skel_category_json
+from doctrines.laws import verify_doctrine
 from doctrines.poset import MonotoneMap, left_adjoint_of
 
 P = powerset_doctrine()

@@ -5,8 +5,8 @@ import pytest
 
 from doctrines.completion import EX, Completion
 from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
-from doctrines.laws import SUITES, LawContext, run_suite
-from doctrines.report import FAIL
+from doctrines.laws import SUITES, LawContext, run_suite, verify_doctrine
+from doctrines.report import FAIL, SKIPPED
 
 
 def small_ctx(**kw):
@@ -85,3 +85,30 @@ class TestDeterminism:
     def test_seed_recorded(self):
         rep = run_suite("skolem", small_ctx(seed=99))
         assert rep.seed == 99
+
+
+class TestOutcomePolicy:
+    def test_budget_cut_is_skipped_not_passed(self):
+        # Hom(2,2) has 4 arrows, one more than the budget allows
+        for rep in (
+            verify_doctrine(powerset_doctrine(), max_card=2, budget=3),
+            run_suite("functoriality", max_card=2, qmax=1, budget=3),
+        ):
+            laws = {r.law: r for r in rep.results}
+            for law in ("reindex-composition", "reindex-monotone"):
+                assert laws[law].status == SKIPPED
+                assert laws[law].detail == "search space of 4 candidate arrows exceeds budget 3 (Hom(2,2))"
+
+    def test_failed_recertification_is_a_fail(self):
+        class LyingKernel(PowersetDoctrine):
+            def ex_witness(self, a, b, c, alpha, beta):
+                # claim the constant-0 map whenever there is no witness
+                found = super().ex_witness(a, b, c, alpha, beta)
+                if found is None and self.carrier(c):
+                    return (0,) * (self.carrier(a) * self.carrier(b))
+                return found
+
+        rep = run_suite("functoriality", small_ctx(doctrine=LyingKernel()))
+        fail = next(r for r in rep.failed if r.law == "completion-leq-transitive-ex")
+        assert fail.checked == 0
+        assert "does not certify" in fail.counterexample["witness-validation"]
