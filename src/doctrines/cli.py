@@ -15,7 +15,7 @@ import sys
 from .completion import EX, UN, Completion, QuantElem
 from .dialectica import DialObj, bounded_dialobjs, dial_leq, dial_preorder
 from .doctrine import load_doctrine, mask_from_indices, powerset_doctrine
-from .errors import BUDGET_ENV_VAR, DoctrineError, LoadError, SearchBudgetExceeded, resolve_budget
+from .errors import DEFAULT_BUDGET, DoctrineError, LoadError, SearchBudgetExceeded
 from .laws import SUITES, LawContext, run_suite, verify_doctrine
 from .poset import lattice_check, poset_reflect, to_dot
 from .principles import extract_choice, extract_counterexample, skolem_check
@@ -42,12 +42,24 @@ def _read_json(arg: str):
         raise LoadError(f"not valid JSON: {exc}") from None
 
 
+def natural(value, what="value") -> int:
+    """A cardinality or a budget from user input: a nonnegative integer.
+
+    Also the argparse `type` of such options, where a ValueError becomes a
+    usage error (exit code 3).
+    """
+    n = int(value) if isinstance(value, str) else value
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return n
+
+
 def _load_elem(doc, data) -> QuantElem:
     data = _read_json(data) if isinstance(data, str) else data
     try:
         polarity = data["polarity"]
-        base = int(data["base"])
-        elem = dict(data, base=base, qobj=int(data["qobj"]))
+        base = natural(data["base"], "base")
+        elem = dict(data, base=base, qobj=natural(data["qobj"], "qobj"))
         if polarity not in (EX, UN):
             raise LoadError(f"polarity must be EX or UN, got {polarity!r}")
         return Completion(doc, polarity).pred_from_json(base, elem)
@@ -62,11 +74,10 @@ def _elem_json(doc, x: QuantElem) -> dict:
 def _load_dial(doc, data) -> DialObj:
     data = _read_json(data) if isinstance(data, str) else data
     try:
-        src, tgt = int(data["src"]), int(data["tgt"])
+        src, tgt = natural(data["src"], "src"), natural(data["tgt"], "tgt")
+        return DialObj(src, tgt, doc.pred_from_json(doc.cat.product(src, tgt), data.get("pred", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"dialectica object needs src/tgt/pred: {exc}") from None
-    carrier = doc.cat.card(doc.cat.product(src, tgt))
-    return DialObj(src, tgt, mask_from_indices(data.get("pred", []), carrier))
 
 
 def _emit(args, payload: dict, text: str):
@@ -76,20 +87,29 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit code 3, where argparse would use
+    2, the code of a violated law."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doctrines",
         description="Quantifier completions of predicate doctrines over finite categories.",
     )
-    parser.add_argument("--budget", type=int, default=None,
-                        help=f"arrow-search cap (default {BUDGET_ENV_VAR} or 10^6)")
+    parser.add_argument("--budget", type=natural, default=None,
+                        help=f"cap on the arrows an enumerative search may scan (default {DEFAULT_BUDGET})")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-doctrine", help="verify a tabular doctrine file")
     p.add_argument("file")
     p.add_argument("--category", default=None, help="category file when not inlined")
-    p.add_argument("--max-card", type=int, default=2)
+    p.add_argument("--max-card", type=natural, default=2)
 
     p = sub.add_parser("leq", help="decide the completion order between two elements")
     p.add_argument("x")
@@ -106,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} along a projection or an injection")
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--pr", metavar="A1,A2", help="split the base as a product")
-        group.add_argument("--inj", metavar="B", type=int, help="inject the base into base+B")
+        group.add_argument("--inj", metavar="B", type=natural, help="inject the base into base+B")
         p.add_argument("x")
 
     p = sub.add_parser("reflect", help="DOT of a reflected bounded completion fiber")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--base", type=natural, required=True)
+    p.add_argument("--bound", type=natural, default=2)
     p.add_argument("--polarity", choices=(EX, UN), default=EX)
 
     p = sub.add_parser("dial-leq", help="decide the dialectica order")
@@ -119,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v")
 
     p = sub.add_parser("dial-lattice", help="lattice report for the bounded dialectica poset")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=natural, default=2)
     p.add_argument("--dot", action="store_true", help="emit the Hasse diagram instead")
 
     p = sub.add_parser("choice", help="extract a choice witness from an EX element")
@@ -128,15 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
 
     p = sub.add_parser("skolem", help="check the quantifier exchange for one predicate")
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--a1", type=natural, required=True)
+    p.add_argument("--a2", type=natural, required=True)
+    p.add_argument("--b", type=natural, required=True)
     p.add_argument("--pred", required=True, help="predicate over A1 x A2 x B as an index list")
 
     p = sub.add_parser("verify-laws", help="run a law suite")
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    p.add_argument("--max-card", type=int, default=2)
-    p.add_argument("--fiber-bound", type=int, default=2)
+    p.add_argument("--max-card", type=natural, default=2)
+    p.add_argument("--fiber-bound", type=natural, default=2)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--no-timing", action="store_true")
 
@@ -166,7 +186,7 @@ def _completion_for(doc, x: QuantElem, budget) -> Completion:
 
 
 def _dispatch(args) -> int:
-    budget = resolve_budget(args.budget)
+    budget = args.budget
     doc = powerset_doctrine()
 
     if args.command == "check-doctrine":
@@ -184,7 +204,7 @@ def _dispatch(args) -> int:
         x = _load_elem(doc, args.x)
         y = _load_elem(doc, args.y)
         comp = _completion_for(doc, x, budget)
-        w = comp.leq(x, y, budget)
+        w = comp.leq(x, y)
         if w is None:
             _emit(args, {"holds": False}, "false")
             return EXIT_NEGATIVE
@@ -209,7 +229,7 @@ def _dispatch(args) -> int:
         comp = _completion_for(doc, x, budget)
         if args.pr:
             try:
-                a1, a2 = (int(v) for v in args.pr.split(","))
+                a1, a2 = (natural(v) for v in args.pr.split(","))
             except ValueError:
                 raise LoadError("--pr wants two comma-separated cardinalities") from None
             op = comp.exists_pr if args.command == "exists" else comp.forall_pr
@@ -223,7 +243,7 @@ def _dispatch(args) -> int:
 
     if args.command == "reflect":
         comp = Completion(doc, args.polarity, budget)
-        pre = comp.bounded_preorder(args.base, args.bound, budget=budget)
+        pre = comp.bounded_preorder(args.base, args.bound)
         labeled = type(pre)(
             tuple(f"({x.qobj},{doc.pred_to_json(None, x.pred)})" for x in pre.labels),
             pre.rows,
@@ -278,7 +298,7 @@ def _dispatch(args) -> int:
     if args.command == "choice":
         x = _load_elem(doc, args.x)
         comp = _completion_for(doc, x, budget)
-        cert = extract_choice(comp, x, budget)
+        cert = extract_choice(comp, x)
         if cert is None:
             _emit(args, {"witness": None}, "no witness: the existential is not provable")
             return EXIT_NEGATIVE
@@ -288,7 +308,7 @@ def _dispatch(args) -> int:
     if args.command == "counterexample":
         x = _load_elem(doc, args.x)
         comp = _completion_for(doc, x, budget)
-        cert = extract_counterexample(comp, x, budget)
+        cert = extract_counterexample(comp, x)
         if cert is None:
             _emit(args, {"counterexample": None}, "no counterexample: the universal is not refutable")
             return EXIT_NEGATIVE
@@ -303,7 +323,7 @@ def _dispatch(args) -> int:
         comp = Completion(doc, EX, budget)
         carrier = args.a1 * args.a2 * args.b
         alpha = mask_from_indices(_read_json(args.pred), carrier)
-        rep = skolem_check(comp, args.a1, args.a2, args.b, alpha, budget)
+        rep = skolem_check(comp, args.a1, args.a2, args.b, alpha)
         payload = {
             "equal": rep.equal,
             "lhs": _elem_json(doc, rep.lhs),

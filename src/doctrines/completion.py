@@ -11,12 +11,17 @@ a witnessing arrow:
   UN:  (B, alpha) <= (C, beta)  iff  some g: A x C -> B has
          P_<pr, g>(alpha) <= beta    in the base fiber over A x C.
 
-The search scans the hom-set in lexicographic table order, so returned
-certificates are canonical; a negative answer is only ever the result of
-a complete scan (running over budget raises instead).  Base doctrines
-with pointwise fiber orders can short-circuit the scan through their
-`ex_witness`/`un_witness` hooks; the hook result is re-certified against
-the generic inequality, keeping the two routes honest about agreeing.
+Every order decision, here and in the dialectica order, goes through one
+policy, :func:`decide`.  The base doctrine's kernel hook
+(`ex_witness`/`un_witness`/`dial_witness`) answers first: "no" is final,
+and a certificate is re-checked against the defining inequality, so the
+kernel cannot disagree with the generic definition unnoticed.  A hook
+that returns NotImplemented hands the question to the enumerative scan,
+which tests candidates in lexicographic table order and returns the
+first that certifies, so certificates are canonical either way.  A
+negative answer from the scan is only ever the result of a complete
+scan: a scan that would run past the completion's budget raises
+SearchBudgetExceeded instead.  Kernels spend no budget.
 
 Completion fibers over a nontrivial base are infinite.  `bounded_fiber`
 materializes the sub-preorder of elements whose quantified object has
@@ -70,6 +75,28 @@ class WitnessArrow:
     direction: str
 
 
+def decide(answer, certify, x, y, scan, *scan_args):
+    """The order-decision policy shared by every witness search.
+
+    `answer` is the kernel hook's reply for x <= y: None (a definite
+    "no"), a certificate, or NotImplemented (no kernel for this doctrine).
+    A kernel certificate must pass `certify(x, y, certificate)`, else
+    WitnessValidationError.  Without a kernel the first candidate of
+    `scan(*scan_args)` that passes `certify` is the answer, and None means
+    the scan ran to completion; a scan over budget raises
+    SearchBudgetExceeded from inside `scan`.  The scan is started only
+    here, so a kernel answer builds no generator.
+    """
+    if answer is NotImplemented:
+        for cand in scan(*scan_args):
+            if certify(x, y, cand):
+                return cand
+        return None
+    if answer is not None and not certify(x, y, answer):
+        raise WitnessValidationError(f"kernel returned {answer!r} for {x!r} <= {y!r}, but it does not certify")
+    return answer
+
+
 class Completion(Doctrine):
     """The doctrine P^ex (polarity EX) or P^un (polarity UN) over `base`.
 
@@ -79,6 +106,9 @@ class Completion(Doctrine):
     injection adjoints and lattice structure need the corresponding base
     adjoints, with constants of the base category backing the adjunction
     arguments.
+
+    `budget` caps every enumerative scan of this completion's order
+    decisions (None: DEFAULT_BUDGET); kernel answers spend none of it.
     """
 
     def __init__(self, base: Doctrine, polarity: str, budget: int | None = None):
@@ -117,29 +147,22 @@ class Completion(Doctrine):
 
     # -- the order ------------------------------------------------------
 
-    def leq(self, x: QuantElem, y: QuantElem, budget: int | None = None) -> WitnessArrow | None:
-        """Decide x <= y; on success return the lexicographically first
-        witnessing arrow, independently re-certified."""
+    def leq(self, x: QuantElem, y: QuantElem) -> WitnessArrow | None:
+        """Decide x <= y under :func:`decide`: the lexicographically first
+        witnessing arrow, certified once, or None (the kernel's "no", or a
+        complete scan without a hit)."""
         self._check_pair(x, y)
         cat = self.cat
         a = x.base
         if self.polarity == EX:
-            table = self._search_ex(x, y, budget)
-            if table is None:
-                return None
-            arrow = Arrow(cat.product(a, x.qobj), y.qobj, tuple(table))
-            direction = "f: AxB -> C"
+            src, tgt, hook, direction = cat.product(a, x.qobj), y.qobj, self.base.ex_witness, "f: AxB -> C"
         else:
-            table = self._search_un(x, y, budget)
-            if table is None:
-                return None
-            arrow = Arrow(cat.product(a, y.qobj), x.qobj, tuple(table))
-            direction = "g: AxC -> B"
-        if not self.certifies(x, y, arrow):
-            raise WitnessValidationError(
-                f"search returned {arrow!r} for {x!r} <= {y!r}, but it does not certify"
-            )
-        return WitnessArrow(arrow, direction)
+            src, tgt, hook, direction = cat.product(a, y.qobj), x.qobj, self.base.un_witness, "g: AxC -> B"
+        answer = hook(a, x.qobj, y.qobj, x.pred, y.pred)
+        if answer is not None and answer is not NotImplemented:
+            answer = Arrow(src, tgt, tuple(answer))
+        arrow = decide(answer, self.certifies, x, y, cat.iter_hom, src, tgt, self.budget)
+        return None if arrow is None else WitnessArrow(arrow, direction)
 
     def fiber_leq(self, a, x, y) -> bool:
         return self.leq(x, y) is not None
@@ -156,32 +179,6 @@ class Completion(Doctrine):
         src = cat.product(a, y.qobj)
         graph = cat.pair(cat.proj1(a, y.qobj), arrow)
         return self.base.fiber_leq(src, self.base.reindex(graph, x.pred), y.pred)
-
-    def _search_ex(self, x, y, budget):
-        a, b, c = x.base, x.qobj, y.qobj
-        fast = self.base.ex_witness(a, b, c, x.pred, y.pred)
-        if fast is not NotImplemented:
-            return fast
-        cat = self.cat
-        ab = cat.product(a, b)
-        pr = cat.proj1(a, b)
-        for f in cat.iter_hom(ab, c, budget if budget is not None else self.budget):
-            if self.base.fiber_leq(ab, x.pred, self.base.reindex(cat.pair(pr, f), y.pred)):
-                return f.table
-        return None
-
-    def _search_un(self, x, y, budget):
-        a, b, c = x.base, x.qobj, y.qobj
-        fast = self.base.un_witness(a, b, c, x.pred, y.pred)
-        if fast is not NotImplemented:
-            return fast
-        cat = self.cat
-        ac = cat.product(a, c)
-        pr = cat.proj1(a, c)
-        for g in cat.iter_hom(ac, b, budget if budget is not None else self.budget):
-            if self.base.fiber_leq(ac, self.base.reindex(cat.pair(pr, g), x.pred), y.pred):
-                return g.table
-        return None
 
     # -- reindexing ------------------------------------------------------
 
@@ -348,10 +345,10 @@ class Completion(Doctrine):
                 out.append(self.elem(a, q, p))
         return out
 
-    def bounded_preorder(self, a, qmax: int, preds=None, budget=None):
+    def bounded_preorder(self, a, qmax: int, preds=None):
         """The bounded fiber as an explicit Preorder (labels are elements)."""
         elems = self.bounded_fiber(a, qmax, preds)
-        return Preorder.from_le(elems, lambda x, y: self.leq(x, y, budget) is not None)
+        return Preorder.from_le(elems, lambda x, y: self.leq(x, y) is not None)
 
     def fiber_elements(self, a):
         raise CapabilityError("completion fibers are infinite; use bounded_fiber")

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import EX, UN, Completion, QuantElem, forall_proj
+from .completion import EX, UN, Completion, QuantElem, decide, forall_proj
 from .doctrine import CAP_UN_PR, Doctrine
-from .errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError, resolve_budget
+from .errors import CapabilityError, SearchBudgetExceeded, resolve_budget
 from .fincat import Arrow, compose, nth_proj, product_map, prod_obj, tuple_arrow
 
 
@@ -83,25 +83,29 @@ class DialObj:
 
 
 def dial_leq(doc: Doctrine, u: DialObj, v: DialObj, budget: int | None = None):
-    """Decide u <= v; return the least witnessing pair (f, F) or None.
+    """Decide u <= v under :func:`~doctrines.completion.decide`; return the
+    least witnessing pair (f, F), certified once, or None.
 
-    Pairs are ordered lexicographically with f major.  The scan errors
-    rather than answer negatively once the f-space alone exceeds the
-    budget.
+    The doctrine's `dial_witness` kernel answers when it has one.  Otherwise
+    pairs are scanned lexicographically with f major, and the scan raises
+    SearchBudgetExceeded before it starts when the pair space (every f
+    against every F) exceeds the budget.
     """
     cat = doc.cat
-    fast = doc.dial_witness(u.src, u.tgt, v.src, v.tgt, u.pred, v.pred)
-    if fast is not NotImplemented:
-        if fast is None:
-            return None
-        f_table, big_f_table = fast
+    answer = doc.dial_witness(u.src, u.tgt, v.src, v.tgt, u.pred, v.pred)
+    if answer is not None and answer is not NotImplemented:
+        f_table, big_f_table = answer
         f = Arrow(u.src, v.src, tuple(f_table))
-        big_f = Arrow(cat.product(u.src, v.tgt), u.tgt, tuple(big_f_table))
-        if not dial_certifies(doc, u, v, f, big_f):
-            raise WitnessValidationError(
-                f"kernel returned ({f!r}, {big_f!r}) for {u!r} <= {v!r}, but it does not certify"
-            )
-        return f, big_f
+        answer = f, Arrow(cat.product(u.src, v.tgt), u.tgt, tuple(big_f_table))
+
+    def certify(u, v, pair):
+        return dial_certifies(doc, u, v, *pair)
+
+    return decide(answer, certify, u, v, _dial_pairs, cat, u, v, budget)
+
+
+def _dial_pairs(cat, u: DialObj, v: DialObj, budget):
+    """Every (f: B -> B', F: B x C' -> C), f major, after the budget check."""
     cap = resolve_budget(budget)
     n_f = cat.hom_size(u.src, v.src)
     n_big = cat.hom_size(cat.product(u.src, v.tgt), u.tgt)
@@ -109,9 +113,7 @@ def dial_leq(doc: Doctrine, u: DialObj, v: DialObj, budget: int | None = None):
         raise SearchBudgetExceeded(n_f * max(n_big, 1), cap, "dialectica pair search")
     for f in cat.iter_hom(u.src, v.src, cap):
         for big_f in cat.iter_hom(cat.product(u.src, v.tgt), u.tgt, cap):
-            if dial_certifies(doc, u, v, f, big_f):
-                return f, big_f
-    return None
+            yield f, big_f
 
 
 def dial_certifies(doc: Doctrine, u: DialObj, v: DialObj, f: Arrow, big_f: Arrow) -> bool:
@@ -122,10 +124,6 @@ def dial_certifies(doc: Doctrine, u: DialObj, v: DialObj, f: Arrow, big_f: Arrow
     lhs = doc.reindex(graph, u.pred)
     rhs = doc.reindex(product_map(cat, f, cat.identity(v.tgt)), v.pred)
     return doc.fiber_leq(stage, lhs, rhs)
-
-
-def dial_holds(doc: Doctrine, u: DialObj, v: DialObj, budget=None) -> bool:
-    return dial_leq(doc, u, v, budget) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +175,7 @@ def dial_order_agrees(doc: Doctrine, u: DialObj, v: DialObj, budget: int | None 
     """
     nested = nested_completion(doc, budget)
     direct = dial_leq(doc, u, v, budget) is not None
-    via = (
-        nested.leq(dial_to_nested(nested, u), dial_to_nested(nested, v), budget)
-        is not None
-    )
+    via = nested.leq(dial_to_nested(nested, u), dial_to_nested(nested, v)) is not None
     return direct == via
 
 
@@ -198,4 +193,4 @@ def dial_preorder(doc: Doctrine, objs, budget=None):
     """The dialectica order on the given objects as an explicit Preorder."""
     from .poset import Preorder
 
-    return Preorder.from_le(list(objs), lambda u, v: dial_holds(doc, u, v, budget))
+    return Preorder.from_le(list(objs), lambda u, v: dial_leq(doc, u, v, budget) is not None)

@@ -18,7 +18,7 @@ import json
 
 from . import core
 from .errors import CapabilityError, LoadError, SearchBudgetExceeded
-from .fincat import Arrow, SkelFinSet, TableCat, load_category
+from .fincat import Arrow, SkelFinSet, TableCat, _as_dict, load_category
 from .poset import Preorder
 
 CAP_EX_PR = "existential-over-projections"
@@ -374,17 +374,7 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
     With verify=True (the default for untrusted input) the doctrine laws
     are checked and the first violation raises LoadError naming the law.
     """
-    data = source
-    if not isinstance(source, dict):
-        text = source
-        if isinstance(source, str) and not source.lstrip().startswith("{"):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"not valid JSON: {exc}") from None
-
+    data = _as_dict(source)
     if cat is None:
         catspec = data.get("category")
         if catspec is None:

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import os
-
 DEFAULT_BUDGET = 10**6
-BUDGET_ENV_VAR = "DOCTRINES_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Effective hom-search cap: explicit argument, else environment, else default."""
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+    """Effective hom-search cap: the explicit argument, else DEFAULT_BUDGET."""
+    return DEFAULT_BUDGET if budget is None else int(budget)
 
 
 class DoctrineError(Exception):

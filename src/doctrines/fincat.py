@@ -149,14 +149,6 @@ class SkelFinSet:
             if i < 0:
                 return
 
-    def enumerate_hom(self, a, b, budget=None) -> list:
-        """Complete hom-set as a list; errors up front when over budget."""
-        cap = resolve_budget(budget)
-        total = self.hom_size(a, b)
-        if total > cap:
-            raise SearchBudgetExceeded(total, cap, f"Hom({a},{b})")
-        return list(self.iter_hom(a, b, budget=cap + 1))
-
     # -- products ----------------------------------------------------
 
     def product(self, a, b):
@@ -201,9 +193,6 @@ class SkelFinSet:
     @_canonical
     def bang(self, a) -> Arrow:
         return Arrow(a, 1, (0,) * a)
-
-    def absurd(self, a) -> Arrow:
-        return Arrow(0, a, ())
 
     def points(self, a) -> list:
         return [Arrow(1, a, (v,)) for v in range(a)]
@@ -448,13 +437,6 @@ class TableCat:
 
         return gen()
 
-    def enumerate_hom(self, a, b, budget=None) -> list:
-        cap = resolve_budget(budget)
-        hs = self._homs.get((a, b), [])
-        if len(hs) > cap:
-            raise SearchBudgetExceeded(len(hs), cap, f"Hom({a!r},{b!r})")
-        return list(hs)
-
     def _chosen(self, table, kind, a, b):
         """The declared entry (object, structure arrows) for (a, b) in `table`."""
         try:
@@ -642,7 +624,7 @@ def load_category(source) -> TableCat:
                 law="composition-table",
             )
 
-    structure = _load_structure(data.get("structure", {}), cards, names, homs)
+    structure = _load_structure(data.get("structure", {}), names)
     cat = TableCat(cards, homs, names, structure)
     _verify_structure(cat, cards)
     return cat
@@ -668,7 +650,7 @@ def _name_of(names, arrow):
     return repr(arrow)
 
 
-def _load_structure(block, cards, names, homs):
+def _load_structure(block, names):
     def arrow_ref(name, what):
         if name not in names:
             raise LoadError(f"{what} references unknown arrow {name!r}", law="structure-ref")
@@ -694,7 +676,6 @@ def _load_structure(block, cards, names, homs):
     s["points"] = {}
     for obj, pts in block.get("points", {}).items():
         s["points"][obj] = [arrow_ref(n, "point") for n in pts]
-    _ = cards, homs
     return s
 
 

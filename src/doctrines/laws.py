@@ -306,7 +306,7 @@ def _law_leq_reflexive(ctx, polarity):
     for a in ctx.objects:
         for x in comp.bounded_fiber(a, ctx.qmax):
             checked += 1
-            if comp.leq(x, x, ctx.budget) is None:
+            if comp.leq(x, x) is None:
                 return checked, ctx.elem_json(x)
     return checked, None
 
@@ -317,7 +317,7 @@ def _law_leq_transitive(ctx, polarity):
     for a in ctx.objects:
         elems = comp.bounded_fiber(a, ctx.qmax)
         n = len(elems)
-        mat = [[comp.leq(x, y, ctx.budget) is not None for y in elems] for x in elems]
+        mat = [[comp.leq(x, y) is not None for y in elems] for x in elems]
         for i in range(n):
             for j in range(n):
                 if not mat[i][j]:
@@ -371,11 +371,11 @@ def _law_pr_adjunction(ctx, polarity):
             for y in comp.bounded_fiber(a1, ctx.qmax):
                 checked += 1
                 if polarity == EX:
-                    lhs = comp.leq(comp.exists_pr((a1, a2), x), y, ctx.budget) is not None
-                    rhs = comp.leq(x, comp.reindex(pr1, y), ctx.budget) is not None
+                    lhs = comp.leq(comp.exists_pr((a1, a2), x), y) is not None
+                    rhs = comp.leq(x, comp.reindex(pr1, y)) is not None
                 else:
-                    lhs = comp.leq(comp.reindex(pr1, y), x, ctx.budget) is not None
-                    rhs = comp.leq(y, comp.forall_pr((a1, a2), x), ctx.budget) is not None
+                    lhs = comp.leq(comp.reindex(pr1, y), x) is not None
+                    rhs = comp.leq(y, comp.forall_pr((a1, a2), x)) is not None
                 if lhs != rhs:
                     return checked, {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
                                      "lhs": lhs, "rhs": rhs}
@@ -393,8 +393,8 @@ def _law_pr_exp_adjunction(ctx):
             fx = forall_pr_exp(comp, (a1, a2), x)
             for y in comp.bounded_fiber(a1, ctx.qmax):
                 checked += 1
-                lhs = comp.leq(comp.reindex(pr1, y), x, ctx.budget) is not None
-                rhs = comp.leq(y, fx, ctx.budget) is not None
+                lhs = comp.leq(comp.reindex(pr1, y), x) is not None
+                rhs = comp.leq(y, fx) is not None
                 if lhs != rhs:
                     return checked, {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
                                      "lhs": lhs, "rhs": rhs}
@@ -425,13 +425,13 @@ def _law_inj_adjunction(ctx, polarity):
             for y in comp.bounded_fiber(cop, ctx.qmax):
                 ry = comp.reindex(j1, y)
                 checked += 1
-                lhs = comp.leq(ex_x, y, ctx.budget) is not None
-                rhs = comp.leq(x, ry, ctx.budget) is not None
+                lhs = comp.leq(ex_x, y) is not None
+                rhs = comp.leq(x, ry) is not None
                 if lhs != rhs:
                     return checked, {"side": "exists", "a": a, "b": b,
                                      "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs}
-                lhs = comp.leq(ry, x, ctx.budget) is not None
-                rhs = comp.leq(y, fa_x, ctx.budget) is not None
+                lhs = comp.leq(ry, x) is not None
+                rhs = comp.leq(y, fa_x) is not None
                 if lhs != rhs:
                     return checked, {"side": "forall", "a": a, "b": b,
                                      "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs}
@@ -527,9 +527,9 @@ def _law_bounds(ctx, polarity):
         bottom = comp.bottom(a)
         for x in comp.bounded_fiber(a, ctx.qmax):
             checked += 2
-            if comp.leq(x, top, ctx.budget) is None:
+            if comp.leq(x, top) is None:
                 return checked, {"kind": "top", "x": ctx.elem_json(x)}
-            if comp.leq(bottom, x, ctx.budget) is None:
+            if comp.leq(bottom, x) is None:
                 return checked, {"kind": "bottom", "x": ctx.elem_json(x)}
     return checked, None
 
@@ -543,20 +543,20 @@ def _law_meet_join(ctx, polarity, op):
             for y in elems:
                 m = comp.meet(a, x, y) if op == "meet" else comp.join(a, x, y)
                 if op == "meet":
-                    ok = comp.leq(m, x, ctx.budget) is not None and comp.leq(m, y, ctx.budget) is not None
+                    ok = comp.leq(m, x) is not None and comp.leq(m, y) is not None
                 else:
-                    ok = comp.leq(x, m, ctx.budget) is not None and comp.leq(y, m, ctx.budget) is not None
+                    ok = comp.leq(x, m) is not None and comp.leq(y, m) is not None
                 checked += 2
                 if not ok:
                     return checked, {"kind": "bound", "x": ctx.elem_json(x), "y": ctx.elem_json(y)}
                 for z in elems:
                     checked += 1
                     if op == "meet":
-                        lhs = comp.leq(z, m, ctx.budget) is not None
-                        rhs = (comp.leq(z, x, ctx.budget) is not None) and (comp.leq(z, y, ctx.budget) is not None)
+                        lhs = comp.leq(z, m) is not None
+                        rhs = (comp.leq(z, x) is not None) and (comp.leq(z, y) is not None)
                     else:
-                        lhs = comp.leq(m, z, ctx.budget) is not None
-                        rhs = (comp.leq(x, z, ctx.budget) is not None) and (comp.leq(y, z, ctx.budget) is not None)
+                        lhs = comp.leq(m, z) is not None
+                        rhs = (comp.leq(x, z) is not None) and (comp.leq(y, z) is not None)
                     if lhs != rhs:
                         return checked, {"kind": "universal", "x": ctx.elem_json(x), "y": ctx.elem_json(y),
                                          "z": ctx.elem_json(z), "lhs": lhs, "rhs": rhs}
@@ -567,27 +567,25 @@ def _law_reindex_lattice(ctx, polarity):
     """Reindexing preserves meets, joins, top and bottom up to mutual order."""
     comp = ctx.completion(polarity)
     checked = 0
-
-    def same(u, v):
-        return comp.leq(u, v, ctx.budget) is not None and comp.leq(v, u, ctx.budget) is not None
-
     for f in ctx.arrows():
         d, a = f.dom, f.cod
         elems = comp.bounded_fiber(a, min(ctx.qmax, 1))
         checked += 2
-        if not same(comp.reindex(f, comp.top(a)), comp.top(d)):
+        if not comp.fiber_eq(d, comp.reindex(f, comp.top(a)), comp.top(d)):
             return checked, {"f": list(f.table), "op": "top"}
-        if not same(comp.reindex(f, comp.bottom(a)), comp.bottom(d)):
+        if not comp.fiber_eq(d, comp.reindex(f, comp.bottom(a)), comp.bottom(d)):
             return checked, {"f": list(f.table), "op": "bottom"}
         for x in elems:
             for y in elems:
                 checked += 2
-                if not same(
+                if not comp.fiber_eq(
+                    d,
                     comp.reindex(f, comp.meet(a, x, y)),
                     comp.meet(d, comp.reindex(f, x), comp.reindex(f, y)),
                 ):
                     return checked, {"f": list(f.table), "op": "meet", "x": ctx.elem_json(x), "y": ctx.elem_json(y)}
-                if not same(
+                if not comp.fiber_eq(
+                    d,
                     comp.reindex(f, comp.join(a, x, y)),
                     comp.join(d, comp.reindex(f, x), comp.reindex(f, y)),
                 ):
@@ -622,8 +620,8 @@ def _law_duality_matrix(ctx):
         for i, x in enumerate(elems):
             for j, y in enumerate(elems):
                 checked += 1
-                un = comp_un.leq(x, y, ctx.budget) is not None
-                exop = comp_dual.leq(duals[j], duals[i], ctx.budget) is not None
+                un = comp_un.leq(x, y) is not None
+                exop = comp_dual.leq(duals[j], duals[i]) is not None
                 if un != exop:
                     return checked, {"x": ctx.elem_json(x), "y": ctx.elem_json(y), "un": un, "ex-op": exop}
     return checked, None
@@ -639,11 +637,11 @@ def _law_duality_witnesses(ctx):
         elems = comp_un.bounded_fiber(a, ctx.qmax)
         for x in elems:
             for y in elems:
-                w = comp_un.leq(x, y, ctx.budget)
+                w = comp_un.leq(x, y)
                 if w is None:
                     continue
                 checked += 1
-                w2 = comp_dual.leq(duality_transport(y), duality_transport(x), ctx.budget)
+                w2 = comp_dual.leq(duality_transport(y), duality_transport(x))
                 if w2 is None or w2.arrow != w.arrow:
                     return checked, {"x": ctx.elem_json(x), "y": ctx.elem_json(y)}
     return checked, None
@@ -657,21 +655,17 @@ def _law_duality_witnesses(ctx):
 def _law_monad_units(ctx, polarity):
     """Both unit laws of the completion monad, up to mutual order."""
     comp = ctx.completion(polarity)
-    doubled = Completion(comp, comp.polarity, ctx.budget)
+    doubled = Completion(comp, comp.polarity, comp.budget)
     checked = 0
-
-    def same(u, v):
-        return comp.leq(u, v, ctx.budget) is not None and comp.leq(v, u, ctx.budget) is not None
-
     for a in ctx.objects:
         for x in comp.bounded_fiber(a, ctx.qmax):
             checked += 2
             outer = comp.mult(doubled.unit(a, x))
-            if not same(outer, x):
+            if not comp.fiber_eq(a, outer, x):
                 return checked, {"kind": "outer-unit", "x": ctx.elem_json(x)}
             ab = comp.cat.product(a, x.qobj)
             inner = comp.mult(doubled.elem(a, x.qobj, comp.unit(ab, x.pred)))
-            if not same(inner, x):
+            if not comp.fiber_eq(a, inner, x):
                 return checked, {"kind": "inner-unit", "x": ctx.elem_json(x)}
     return checked, None
 
@@ -685,10 +679,7 @@ def _law_prenex(ctx):
             checked += 1
             ab = comp.cat.product(a, x.qobj)
             prenexed = comp.exists_pr((a, x.qobj), comp.unit(ab, x.pred))
-            if not (
-                comp.leq(prenexed, x, ctx.budget) is not None
-                and comp.leq(x, prenexed, ctx.budget) is not None
-            ):
+            if not comp.fiber_eq(a, prenexed, x):
                 return checked, ctx.elem_json(x)
     return checked, None
 
@@ -706,10 +697,7 @@ def _law_unit_forall(ctx):
                 checked += 1
                 left = comp.unit(a1, doc.forall_pr((a1, a2), alpha))
                 right = forall_pr_exp(comp, (a1, a2), comp.unit(prod, alpha))
-                if not (
-                    comp.leq(left, right, ctx.budget) is not None
-                    and comp.leq(right, left, ctx.budget) is not None
-                ):
+                if not comp.fiber_eq(a1, left, right):
                     return checked, {"a1": a1, "a2": a2, "alpha": alpha}
     return checked, None
 
@@ -728,7 +716,7 @@ def _law_skolem_sweep(ctx):
         carrier = a1 * a2 * b
         for alpha in doc.fiber_elements(carrier):
             checked += 1
-            rep = skolem_check(comp, a1, a2, b, alpha, ctx.budget)
+            rep = skolem_check(comp, a1, a2, b, alpha)
             if not rep.equal:
                 return checked, {"a1": a1, "a2": a2, "b": b, "alpha": alpha}
     return checked, None
@@ -744,7 +732,7 @@ def _law_skolem_sampled(ctx):
     for _ in range(40):
         alpha = rng.randrange(1 << carrier)
         checked += 1
-        rep = skolem_check(comp, a1, a2, b, alpha, ctx.budget)
+        rep = skolem_check(comp, a1, a2, b, alpha)
         if not rep.equal:
             return checked, {"a1": a1, "a2": a2, "b": b, "alpha": alpha}
     return checked, None
@@ -761,7 +749,7 @@ def _law_choice(ctx):
             for alpha in doc.fiber_elements(carrier):
                 checked += 1
                 x = comp.elem(a, b, alpha)
-                cert = extract_choice(comp, x, ctx.budget)
+                cert = extract_choice(comp, x)
                 total = all(any((alpha >> (aa * b + bb)) & 1 for bb in range(b)) for aa in range(a))
                 if (cert is not None) != total:
                     return checked, {"a": a, "b": b, "alpha": alpha, "got": cert is not None, "want": total}
@@ -782,7 +770,7 @@ def _law_counterexample(ctx):
             for alpha in doc.fiber_elements(carrier):
                 checked += 1
                 x = comp.elem(a, b, alpha)
-                cert = extract_counterexample(comp, x, ctx.budget)
+                cert = extract_counterexample(comp, x)
                 refutable = all(any(not ((alpha >> (aa * b + bb)) & 1) for bb in range(b)) for aa in range(a))
                 if (cert is not None) != refutable:
                     return checked, {"a": a, "b": b, "alpha": alpha, "got": cert is not None, "want": refutable}
@@ -811,7 +799,7 @@ def _law_dial_equivalence(ctx):
             zv = dial_to_nested(nested, v)
             checked += 1
             direct = dial_leq(doc, u, v, ctx.budget)
-            via_nested = nested.leq(zu, zv, ctx.budget)
+            via_nested = nested.leq(zu, zv)
             if (direct is None) != (via_nested is None):
                 return checked, {"u": _dial_json(doc, u), "v": _dial_json(doc, v),
                                  "direct": direct is not None, "nested": via_nested is not None}
@@ -860,19 +848,15 @@ def _law_dial_lattice(ctx):
             j_class = objs[[k for k in range(pre.n) if proj.table[k] == rep.join[key]][0]]
             checked += 1
             m = nested.meet(one, zu, zv)
-            if not _dial_same(nested, m, dial_to_nested(nested, m_class), ctx.budget):
+            if not nested.fiber_eq(one, m, dial_to_nested(nested, m_class)):
                 return checked, {"op": "meet", "u": _dial_json(doc, u), "v": _dial_json(doc, v)}
             if u.src == initial or v.src == initial:
                 continue
             checked += 1
             jn = nested.join(one, zu, zv)
-            if not _dial_same(nested, jn, dial_to_nested(nested, j_class), ctx.budget):
+            if not nested.fiber_eq(one, jn, dial_to_nested(nested, j_class)):
                 return checked, {"op": "join", "u": _dial_json(doc, u), "v": _dial_json(doc, v)}
     return checked, None
-
-
-def _dial_same(nested, x, y, budget):
-    return nested.leq(x, y, budget) is not None and nested.leq(y, x, budget) is not None
 
 
 def _law_composite_structure(ctx):
@@ -897,12 +881,12 @@ def _law_composite_structure(ctx):
             fa_x = nested.forall_pr((a1, a2), x)
             for y in bounded(a1):
                 checked += 2
-                if (nested.leq(ex_x, y, ctx.budget) is not None) != (
-                    nested.leq(x, nested.reindex(pr1, y), ctx.budget) is not None
+                if (nested.leq(ex_x, y) is not None) != (
+                    nested.leq(x, nested.reindex(pr1, y)) is not None
                 ):
                     return checked, {"op": "exists_pr", "a1": a1, "a2": a2}
-                if (nested.leq(nested.reindex(pr1, y), x, ctx.budget) is not None) != (
-                    nested.leq(y, fa_x, ctx.budget) is not None
+                if (nested.leq(nested.reindex(pr1, y), x) is not None) != (
+                    nested.leq(y, fa_x) is not None
                 ):
                     return checked, {"op": "forall_pr", "a1": a1, "a2": a2}
     for a, b in ((1, 1), (2, 1)):
@@ -914,12 +898,12 @@ def _law_composite_structure(ctx):
             for y in bounded(cop):
                 ry = nested.reindex(j1, y)
                 checked += 2
-                if (nested.leq(ex_x, y, ctx.budget) is not None) != (
-                    nested.leq(x, ry, ctx.budget) is not None
+                if (nested.leq(ex_x, y) is not None) != (
+                    nested.leq(x, ry) is not None
                 ):
                     return checked, {"op": "exists_inj", "a": a, "b": b}
-                if (nested.leq(ry, x, ctx.budget) is not None) != (
-                    nested.leq(y, fa_x, ctx.budget) is not None
+                if (nested.leq(ry, x) is not None) != (
+                    nested.leq(y, fa_x) is not None
                 ):
                     return checked, {"op": "forall_inj", "a": a, "b": b}
     initial = nested.cat.initial
@@ -930,9 +914,9 @@ def _law_composite_structure(ctx):
                 m = nested.meet(a, x, y)
                 for z in elems:
                     checked += 1
-                    if (nested.leq(z, m, ctx.budget) is not None) != (
-                        nested.leq(z, x, ctx.budget) is not None
-                        and nested.leq(z, y, ctx.budget) is not None
+                    if (nested.leq(z, m) is not None) != (
+                        nested.leq(z, x) is not None
+                        and nested.leq(z, y) is not None
                     ):
                         return checked, {"op": "meet", "a": a}
                 if x.qobj == initial or y.qobj == initial:
@@ -942,9 +926,9 @@ def _law_composite_structure(ctx):
                 jn = nested.join(a, x, y)
                 for z in elems:
                     checked += 1
-                    if (nested.leq(jn, z, ctx.budget) is not None) != (
-                        nested.leq(x, z, ctx.budget) is not None
-                        and nested.leq(y, z, ctx.budget) is not None
+                    if (nested.leq(jn, z) is not None) != (
+                        nested.leq(x, z) is not None
+                        and nested.leq(y, z) is not None
                     ):
                         return checked, {"op": "join", "a": a}
     return checked, None

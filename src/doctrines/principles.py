@@ -42,14 +42,14 @@ def _via_unit(cat, w: Arrow, a) -> Arrow:
     return compose(w, unit_inv)
 
 
-def extract_choice(comp: Completion, x: QuantElem, budget=None) -> ChoiceCertificate | None:
+def extract_choice(comp: Completion, x: QuantElem) -> ChoiceCertificate | None:
     """Rule of choice: from top <= (exists b. alpha) recover f with
     top <= alpha(a, f(a)); None exactly when the existential is not provable."""
     if comp.polarity != EX:
         raise CapabilityError("choice extraction works in the existential completion")
     if CAP_LAT not in comp.base.caps:
         raise CapabilityError("rule of choice assumes base fibers with finite meets")
-    w = comp.leq(comp.top(x.base), x, budget)
+    w = comp.leq(comp.top(x.base), x)
     if w is None:
         return None
     f = _via_unit(comp.cat, w.arrow, x.base)
@@ -64,7 +64,7 @@ def _choice_valid(comp: Completion, x: QuantElem, f: Arrow) -> bool:
     return comp.base.fiber_leq(x.base, comp.base.top(x.base), comp.base.reindex(graph, x.pred))
 
 
-def extract_counterexample(comp: Completion, x: QuantElem, budget=None) -> CounterexampleCertificate | None:
+def extract_counterexample(comp: Completion, x: QuantElem) -> CounterexampleCertificate | None:
     """Counterexample property: from (forall b. alpha) <= bottom recover g
     with alpha(a, g(a)) <= bottom; None exactly when the universal is not
     refutable."""
@@ -72,7 +72,7 @@ def extract_counterexample(comp: Completion, x: QuantElem, budget=None) -> Count
         raise CapabilityError("counterexample extraction works in the universal completion")
     if CAP_LAT not in comp.base.caps:
         raise CapabilityError("counterexample property assumes base fibers with finite joins")
-    w = comp.leq(x, comp.bottom(x.base), budget)
+    w = comp.leq(x, comp.bottom(x.base))
     if w is None:
         return None
     g = _via_unit(comp.cat, w.arrow, x.base)
@@ -104,7 +104,7 @@ class SkolemReport:
         return self.lhs_le_rhs is not None and self.rhs_le_lhs is not None
 
 
-def skolem_check(comp: Completion, a1, a2, b, alpha, budget=None) -> SkolemReport:
+def skolem_check(comp: Completion, a1, a2, b, alpha) -> SkolemReport:
     """Compare `forall_pr . exists` against `exists . forall_pr` of one
     predicate alpha over A1 x A2 x B, through the function space B^A2.
 
@@ -127,4 +127,4 @@ def skolem_check(comp: Completion, a1, a2, b, alpha, budget=None) -> SkolemRepor
     rhs_mid = forall_proj(comp, (a1, a2, e), (0, 2), y0)
     rhs = exists_proj(comp, (a1, e), (0,), rhs_mid)
 
-    return SkolemReport(lhs, rhs, comp.leq(lhs, rhs, budget), comp.leq(rhs, lhs, budget))
+    return SkolemReport(lhs, rhs, comp.leq(lhs, rhs), comp.leq(rhs, lhs))

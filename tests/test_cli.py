@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from doctrines.cli import main
 from doctrines.fincat import skel_category_json
 
@@ -10,6 +12,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command line the parser rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
 
 
 def elem(polarity, base, qobj, pred):
@@ -36,7 +45,9 @@ class TestLeq:
         assert payload["holds"] is True and payload["witness"] == [0, 0]
 
     def test_bad_element(self, capsys):
-        for bad in ('{"polarity": "EX"}', '{"polarity": "XX"}', elem("EX", 1, 1, 5)):
+        for bad in ('{"polarity": "EX"}', '{"polarity": "XX"}', elem("EX", 1, 1, 5),
+                    elem("EX", -1, 1, []), elem("EX", 1, -1, []), elem("EX", "one", 1, []),
+                    elem("EX", 1.7, 1, []), elem("EX", 1, True, [])):
             code, _, err = run(capsys, "leq", bad, elem("EX", 1, 1, [0]))
             assert code == 3
             assert "input error" in err
@@ -74,9 +85,10 @@ class TestQuantifiers:
         assert payload["base"] == 2 and payload["pred"] == [0, 1]
 
     def test_bad_split(self, capsys):
-        code, _, err = run(capsys, "exists", "--pr", "1", elem("EX", 2, 1, [1]))
-        assert code == 3
-        assert "comma-separated" in err
+        for split in ("--pr=1", "--pr=-1,2"):
+            code, _, err = run(capsys, "exists", split, elem("EX", 2, 1, [1]))
+            assert code == 3
+            assert "comma-separated" in err
 
 
 class TestReflect:
@@ -101,6 +113,24 @@ class TestDialectica:
         v = json.dumps({"src": 1, "tgt": 1, "pred": []})
         code, out, _ = run(capsys, "dial-leq", u, v)
         assert code == 1
+
+    def test_bad_object(self, capsys):
+        good = json.dumps({"src": 1, "tgt": 1, "pred": [0]})
+        for bad in (
+            {"src": 2, "tgt": 2, "pred": 5},
+            {"src": 2, "tgt": 2, "pred": ["x"]},
+            {"src": -1, "tgt": 2, "pred": []},
+            {"src": 2, "tgt": -1, "pred": []},
+            {"src": 2.9, "tgt": 1, "pred": []},
+            {"src": 2},
+            [2, 2],
+        ):
+            code, _, err = run(capsys, "dial-leq", json.dumps(bad), good)
+            assert code == 3
+            assert "input error" in err
+        code, _, err = run(capsys, "dial-leq", json.dumps({"src": 1, "tgt": 1, "pred": [1]}), good)
+        assert code == 3
+        assert "predicate-extent" in err
 
     def test_dial_lattice(self, capsys):
         code, out, _ = run(capsys, "--json", "dial-lattice", "--bound", "1")
@@ -211,8 +241,27 @@ class TestCheckDoctrine:
         assert code == 3
 
 
-class TestBudget:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("DOCTRINES_BUDGET", "1000000")
-        code, _, _ = run(capsys, "leq", elem("EX", 1, 1, [0]), elem("EX", 1, 1, [0]))
-        assert code == 0
+class TestUsage:
+    """Command lines the parser rejects are bad input: exit code 3."""
+
+    def test_negative_numbers(self, capsys):
+        x = elem("EX", 1, 1, [0])
+        for argv in (
+            ("--budget", "-5", "leq", x, x),
+            ("reflect", "--base", "-1"),
+            ("reflect", "--base", "1", "--bound", "-1"),
+            ("dial-lattice", "--bound", "-1"),
+            ("forall", "--inj", "-1", x),
+            ("skolem", "--a1", "-1", "--a2", "1", "--b", "1", "--pred", "[]"),
+            ("verify-laws", "--max-card", "-1"),
+        ):
+            code, err = usage_error(capsys, *argv)
+            assert code == 3
+            assert "invalid natural value: '-" in err
+
+    def test_malformed_command_lines(self, capsys):
+        for argv in ((), ("no-such-command",), ("leq", "x"), ("--budget", "many", "reflect", "--base", "1"),
+                     ("reflect", "--base", "1", "--polarity", "XX")):
+            code, err = usage_error(capsys, *argv)
+            assert code == 3
+            assert "error:" in err

@@ -14,9 +14,9 @@ from doctrines.completion import (
     exists_proj,
     forall_proj,
 )
-from doctrines.dialectica import nested_completion
+from doctrines.dialectica import DialObj, bounded_dialobjs, dial_leq, nested_completion
 from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
-from doctrines.errors import CapabilityError, SearchBudgetExceeded
+from doctrines.errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
 
 P = powerset_doctrine()
 C = P.cat
@@ -120,14 +120,60 @@ class TestOrder:
                     if fast is not None:
                         assert fast.arrow == slow_w.arrow
 
+    def test_generic_un_path_agrees_with_kernel_path(self):
+        for a in (1, 2):
+            for alpha in range(1 << (a * 2)):
+                for beta in range(1 << (a * 2)):
+                    fast = un.leq(un.elem(a, 2, alpha), un.elem(a, 2, beta))
+                    slow_w = un_slow.leq(un_slow.elem(a, 2, alpha), un_slow.elem(a, 2, beta))
+                    assert (fast is None) == (slow_w is None)
+                    if fast is not None:
+                        assert fast.arrow == slow_w.arrow
+
     def test_budget_error_not_false(self):
-        x = ex_slow.elem(2, 2, 0b1111)
-        y = ex_slow.elem(2, 3, 0)  # unsatisfiable; Hom(4,3) = 81 > budget
+        ex_capped = Completion(slow, EX, 10)
+        x = ex_capped.elem(2, 2, 0b1111)
+        y = ex_capped.elem(2, 3, 0)  # unsatisfiable; Hom(4,3) = 81 > budget
         with pytest.raises(SearchBudgetExceeded):
-            ex_slow.leq(x, y, budget=10)
+            ex_capped.leq(x, y)
         # a positive found within budget still answers
-        top = ex_slow.elem(2, 1, 0b11)
-        assert ex_slow.leq(x, top, budget=10) is not None
+        top = ex_capped.elem(2, 1, 0b11)
+        assert ex_capped.leq(x, top) is not None
+
+
+class TestDialGenericRoute:
+    """dial_leq without a kernel: the pair scan against the dial kernel."""
+
+    def test_pair_scan_agrees_with_kernel(self):
+        objs = bounded_dialobjs(P, 2)
+        assert len(objs) == 31
+        for u in objs:
+            for v in objs:
+                fast = dial_leq(P, u, v)
+                got = dial_leq(slow, u, v)
+                if fast is None:
+                    assert got is None
+                else:
+                    assert got is not None and [w.table for w in got] == [w.table for w in fast]
+
+    def test_lying_kernel_is_caught(self):
+        class LyingDial(PowersetDoctrine):
+            def dial_witness(self, b, c, b2, c2, alpha, beta):
+                found = super().dial_witness(b, c, b2, c2, alpha, beta)
+                return ((0,) * b, (0,) * (b * c2)) if found is None else found
+
+        u, v = DialObj(1, 1, 0b1), DialObj(1, 1, 0)  # true is not below false
+        assert dial_leq(P, u, v) is None
+        with pytest.raises(WitnessValidationError, match="does not certify"):
+            dial_leq(LyingDial(), u, v)
+
+    def test_budget_error_not_false(self):
+        u, v = DialObj(2, 2, 0b1111), DialObj(2, 2, 0)  # no witness
+        # 4 maps f and 16 maps F: each hom-set fits the budget, the 64 pairs do not
+        assert dial_leq(P, u, v, budget=20) is None  # the kernel spends no budget
+        with pytest.raises(SearchBudgetExceeded, match="64 candidate arrows exceeds budget 20"):
+            dial_leq(slow, u, v, budget=20)
+        assert dial_leq(slow, u, v, budget=64) is None
 
 
 class TestReindex:
