@@ -346,7 +346,8 @@ class Completion(Doctrine):
         return out
 
     def bounded_preorder(self, a, qmax: int, preds=None):
-        """The bounded fiber as an explicit Preorder (labels are elements)."""
+        """The bounded fiber as an explicit Preorder (labels are elements),
+        built from its classes by ``Preorder.from_le`` (at most 2·n·k decisions)."""
         elems = self.bounded_fiber(a, qmax, preds)
         return Preorder.from_le(elems, lambda x, y: self.leq(x, y) is not None)
 

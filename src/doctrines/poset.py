@@ -42,13 +42,6 @@ class Preorder:
     def le(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
-    def op(self) -> "Preorder":
-        n = self.n
-        rows = tuple(
-            sum(1 << j for j in range(n) if (self.rows[j] >> i) & 1) for i in range(n)
-        )
-        return type(self)(self.labels, rows)
-
     @classmethod
     def from_pairs(cls, labels, pairs):
         """Reflexive-transitive closure of the given covering pairs."""
@@ -73,12 +66,50 @@ class Preorder:
 
     @classmethod
     def from_le(cls, labels, le):
+        """The order matrix of ``le`` on ``labels``, built from its classes.
+
+        Labels are walked in order and each is compared with the
+        representative (first member) of every class found so far; it joins
+        the first class where both directions hold, and otherwise starts a
+        new class, whose order against every earlier representative is then
+        completed by asking each missing direction once.  Row i is the union
+        of the classes above the class of i.  ``le`` must be a preorder: a
+        member takes its order against the other classes from its
+        representative.  No ordered pair is asked twice and the diagonal
+        never, so for k classes there are at most 2·n·k decisions and never
+        more than n(n-1).  Every answer asked is the matrix entry of its
+        pair, so a wrong answer stays in the matrix or fails validation.
+        """
         labels = tuple(labels)
-        n = len(labels)
-        rows = tuple(
-            sum(1 << j for j in range(n) if le(labels[i], labels[j])) for i in range(n)
-        )
-        return cls(labels, rows)
+        asked = {}
+
+        def ask(i, j):
+            asked[i, j] = answer = bool(le(labels[i], labels[j]))
+            return answer
+
+        reps, members, cls_of = [], [], []
+        for i in range(len(labels)):
+            for c, r in enumerate(reps):
+                if ask(i, r) and ask(r, i):
+                    members[c] |= 1 << i
+                    cls_of.append(c)
+                    break
+            else:
+                for r in reps:
+                    if (r, i) not in asked:
+                        ask(r, i)
+                cls_of.append(len(reps))
+                reps.append(i)
+                members.append(1 << i)
+        # classes are disjoint, so the sum of member masks is their union
+        above = [sum(m for s, m in zip(reps, members) if r == s or asked[r, s]) for r in reps]
+        rows = [above[c] for c in cls_of]
+        for (i, j), answer in asked.items():
+            if answer:
+                rows[i] |= 1 << j
+            else:
+                rows[i] &= ~(1 << j)
+        return cls(labels, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,12 @@ class TestDialectica:
         payload = json.loads(out)
         assert payload["lattice"] is True
 
+    def test_dial_lattice_bound_3(self, capsys):
+        code, out, _ = run(capsys, "--json", "dial-lattice", "--bound", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["objects"], payload["classes"], payload["lattice"]) == (689, 4, True)
+
     def test_dial_lattice_dot(self, capsys):
         code, out, _ = run(capsys, "dial-lattice", "--bound", "1", "--dot")
         assert code == 0

@@ -1,10 +1,16 @@
-"""Poset layer: Galois adjoints against monotone-map enumeration,
-reflection, lattice reports, DOT export."""
+"""Poset layer: the class-built order matrix against the full scan, Galois
+adjoints against monotone-map enumeration, reflection, lattice reports,
+DOT export."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doctrines.completion import EX, UN, Completion
+from doctrines.dialectica import bounded_dialobjs, dial_leq, dial_preorder
+from doctrines.doctrine import powerset_doctrine
 from doctrines.poset import (
     MonotoneMap,
     Poset,
@@ -74,6 +80,37 @@ def adjoints_by_enumeration(f, side):
     return found
 
 
+def full_scan_rows(labels, le):
+    """Oracle for ``Preorder.from_le``: the n² matrix, every pair asked."""
+    n = len(labels)
+    return tuple(
+        sum(1 << j for j in range(n) if le(labels[i], labels[j])) for i in range(n)
+    )
+
+
+def built_asking_once(labels, le):
+    """``Preorder.from_le(labels, le)``, checked against a log of what it asked:
+    no ordered pair twice, never the diagonal, every answer the matrix entry,
+    at most 2·n·k decisions for k classes."""
+    log = []
+
+    def recording(x, y):
+        answer = le(x, y)
+        log.append((x, y, answer))
+        return answer
+
+    pre = Preorder.from_le(labels, recording)
+    index = {x: i for i, x in enumerate(labels)}
+    assert len(index) == pre.n
+    pairs = [(index[x], index[y]) for x, y, _ in log]
+    assert len(set(pairs)) == len(pairs)
+    assert all(i != j for i, j in pairs)
+    assert all(pre.le(i, j) == answer for (i, j), (_, _, answer) in zip(pairs, log))
+    classes = poset_reflect(pre)[0].n
+    assert len(log) <= 2 * pre.n * classes
+    return pre
+
+
 @st.composite
 def small_posets(draw):
     n = draw(st.integers(1, 4))
@@ -86,6 +123,60 @@ def small_posets(draw):
     pre = Preorder.from_pairs(list(range(n)), pairs)
     p, _ = poset_reflect(pre)
     return p
+
+
+class TestFromLe:
+    def test_dial_preorder_matches_full_scan(self):
+        doc = powerset_doctrine()
+        objs = bounded_dialobjs(doc, 2)
+        assert len(objs) == 31
+
+        def le(u, v):
+            return dial_leq(doc, u, v) is not None
+
+        for seed in range(4):
+            random.Random(seed).shuffle(objs)
+            want = full_scan_rows(objs, le)
+            assert dial_preorder(doc, objs).rows == want
+            assert built_asking_once(objs, le).rows == want
+
+    def test_bounded_preorder_matches_full_scan(self):
+        doc = powerset_doctrine()
+        for polarity in (EX, UN):
+            comp = Completion(doc, polarity)
+
+            def le(x, y):
+                return comp.leq(x, y) is not None
+
+            for a in range(3):
+                elems = comp.bounded_fiber(a, 2)
+                want = full_scan_rows(elems, le)
+                assert comp.bounded_preorder(a, 2).rows == want
+                assert built_asking_once(elems, le).rows == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8),
+    )
+    def test_random_preorders(self, n, pairs):
+        pre = Preorder.from_pairs(list(range(n)), [(a % n, b % n) for a, b in pairs])
+        assert built_asking_once(pre.labels, pre.le).rows == pre.rows
+
+    def test_empty_and_singleton(self):
+        assert built_asking_once([], pytest.fail).rows == ()
+        assert built_asking_once(["x"], pytest.fail).rows == (1,)
+
+    def test_wrong_answers_are_not_hidden(self):
+        # 0 <= 1 <= 2 but not 0 <= 2: three classes whose order is not
+        # transitive
+        with pytest.raises(ValueError, match="not transitive"):
+            Preorder.from_le([0, 1, 2], lambda a, b: a <= b and (a, b) != (0, 2))
+        # a < b ~ c, and the lie c <= a: c is asked against a before it joins
+        # b's class, and the asked "yes" must stay in row c
+        holds = {("a", "b"), ("b", "c"), ("c", "b"), ("c", "a")}
+        with pytest.raises(ValueError, match="not transitive"):
+            Preorder.from_le("abc", lambda x, y: x == y or (x, y) in holds)
 
 
 class TestAdjoints:
