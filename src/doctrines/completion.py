@@ -41,7 +41,16 @@ from .doctrine import (
     Doctrine,
 )
 from .errors import CapabilityError, WitnessValidationError
-from .fincat import Arrow, SkelFinSet, product_map, prod_obj, nth_proj, reassoc_left, tuple_arrow
+from .fincat import (
+    Arrow,
+    SkelFinSet,
+    _canonical,
+    nth_proj,
+    prod_obj,
+    product_map,
+    reassoc_left,
+    tuple_arrow,
+)
 from .poset import Preorder
 
 EX = "EX"
@@ -410,9 +419,13 @@ def dual_completion(comp: Completion) -> Completion:
 
 def _proj_reduction(cat, factors, keep):
     """Permutation arrow (prod kept) x (prod dropped) -> prod(factors)
-    together with the kept/dropped factor lists."""
-    factors = list(factors)
-    keep = list(keep)
+    together with the kept and dropped product objects, built once per
+    category."""
+    return _proj_reduction_of(cat, tuple(factors), tuple(keep))
+
+
+@_canonical
+def _proj_reduction_of(cat, factors: tuple, keep: tuple):
     dropped = [i for i in range(len(factors)) if i not in keep]
     kept_factors = [factors[i] for i in keep]
     dropped_factors = [factors[i] for i in dropped]

@@ -26,12 +26,13 @@ from dataclasses import dataclass
 from .completion import EX, UN, Completion, QuantElem, decide, forall_proj
 from .doctrine import CAP_UN_PR, Doctrine
 from .errors import CapabilityError, SearchBudgetExceeded, resolve_budget
-from .fincat import Arrow, compose, nth_proj, product_map, prod_obj, tuple_arrow
+from .fincat import Arrow, _canonical, compose, nth_proj, product_map, prod_obj, tuple_arrow
 
 
+@_canonical
 def eval_expand_arrow(cat, a1, a2, b) -> Arrow:
     """A1 x A2 x B^A2 -> A1 x A2 x B, evaluating the function coordinate
-    at the middle coordinate."""
+    at the middle coordinate; built once per category."""
     e = cat.exponential(b, a2)
     factors = [a1, a2, e]
     src = prod_obj(cat, factors)

@@ -18,12 +18,15 @@ reassociation ``(A x B) x C ~ A x (B x C)`` and the unit isomorphisms
 construct them as explicit arrows so code stays correct over any base.
 
 Canonical structure maps (identities, projections, injections, ``bang``,
-evaluation, the distributivity isos and the generic ``nth_proj`` and
-``reassoc_*``) are built once per category instance, on first request,
-and then shared: every later request for the same maps between the same
-objects returns the same immutable :class:`Arrow`.  The memo lives on the
-category, so a fresh category starts empty.  Maps that depend on arrows
-(``pair``, ``compose``, ``product_map``, ...) are rebuilt on every call.
+evaluation, the distributivity isos, the generic ``nth_proj`` and
+``reassoc_*``, and, registered from their own modules, the projection
+reductions behind ``exists_proj``/``forall_proj`` and the evaluation
+expansion behind ``forall_pr_exp``) are built once per category instance,
+on first request, and then shared: every later request for the same maps
+between the same objects returns the same immutable value.  The memo lives
+on the category, so a fresh category starts empty.  Maps that depend on
+arrows (``pair``, ``compose``, ``product_map``, ...) are rebuilt on every
+call.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class SkelFinSet:
     initial = 0
 
     def __init__(self):
-        self._memo = {}  # (kind, *objects) -> Arrow
+        self._memo = {}  # (kind, *objects) -> Arrow, or a tuple holding one
 
     def card(self, a) -> int:
         return int(a)
@@ -376,7 +379,7 @@ class TableCat:
     """
 
     def __init__(self, cards, homs, names, structure=None):
-        self._memo = {}  # (kind, *objects) -> Arrow
+        self._memo = {}  # (kind, *objects) -> Arrow, or a tuple holding one
         self._cards = dict(cards)  # obj id -> card
         self._homs = {k: sorted(v, key=lambda f: f.table) for k, v in homs.items()}
         self.names = dict(names)  # arrow name -> Arrow

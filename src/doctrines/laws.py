@@ -16,6 +16,17 @@ runs a suite.
 All laws iterate in deterministic ascending order, so a FAIL always
 carries the smallest counterexample found first; anything cut short by a
 search budget or a missing capability is reported SKIPPED, never PASS.
+
+A :class:`LawContext` shares, across all the laws and suites run on it,
+every bounded fiber ``bounded_fiber(a, qmax)`` a law materializes and the
+order between two elements of one such fiber: the completion-order,
+adjunction, bounds and meet/join laws ask ``ctx.le``, which decides each
+such pair with ``Completion.leq`` once and answers from two bits per
+ordered pair after that.  A completion answers a pair the same way every
+time, and a decision that raises records nothing, so every outcome,
+counterexample and check count is what deciding afresh would give.  Laws
+that need the witness arrow, or that decide in another completion
+(duality, doubled, nested), call ``leq`` directly.
 """
 
 from __future__ import annotations
@@ -53,10 +64,32 @@ from .principles import extract_choice, extract_counterexample, skolem_check
 from .report import FAIL, PASS, SKIPPED, LawReport, LawResult
 
 
+class _FiberOrder:
+    """One materialized bounded fiber and its order, decided lazily: bit j
+    of ``known[i]`` says whether elems[i] <= elems[j] has been decided, bit
+    j of ``value[i]`` holds the answer."""
+
+    __slots__ = ("elems", "index", "known", "value")
+
+    def __init__(self, elems):
+        self.elems = elems
+        self.index = {x: i for i, x in enumerate(elems)}
+        self.known = [0] * len(elems)
+        self.value = [0] * len(elems)
+
+
 @dataclass
 class LawContext:
     """Everything a law needs; completions can be swapped for sabotaged
-    variants when exercising the negative controls."""
+    variants when exercising the negative controls.
+
+    The context shares, across every law and suite run on it, each bounded
+    fiber a law materializes through :meth:`fiber` and the order decisions
+    :meth:`le` makes between two of its elements: each such pair reaches
+    ``Completion.leq`` at most once per context.  A decision that raises
+    records nothing, so asked again it raises again.  The footprint is two
+    bits per ordered pair of each materialized fiber plus one index dict.
+    """
 
     doctrine: Doctrine = field(default_factory=powerset_doctrine)
     max_card: int = 2
@@ -65,6 +98,8 @@ class LawContext:
     budget: int | None = None
     comp_ex: Completion | None = None
     comp_un: Completion | None = None
+    # (completion, base object) -> _FiberOrder
+    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.comp_ex is None:
@@ -87,6 +122,35 @@ class LawContext:
 
     def completion(self, polarity) -> Completion:
         return self.comp_ex if polarity == EX else self.comp_un
+
+    def fiber(self, polarity, a) -> list:
+        """``bounded_fiber(a, qmax)`` of the polarity's completion, built once
+        per context; the same list on every call, not to be mutated."""
+        comp = self.completion(polarity)
+        order = self._orders.get((comp, a))
+        if order is None:
+            order = self._orders[comp, a] = _FiberOrder(comp.bounded_fiber(a, self.qmax))
+        return order.elems
+
+    def le(self, x: QuantElem, y: QuantElem) -> bool:
+        """x <= y in the completion of x's polarity.  A pair inside one fiber
+        already built by :meth:`fiber` is decided by ``leq`` only the first
+        time it is asked; every other pair goes to ``leq`` each time."""
+        comp = self.completion(x.polarity)
+        order = self._orders.get((comp, x.base))
+        if order is not None:
+            i = order.index.get(x)
+            j = order.index.get(y)
+            if i is not None and j is not None:
+                bit = 1 << j
+                if order.known[i] & bit:
+                    return bool(order.value[i] & bit)
+                answer = comp.leq(x, y) is not None
+                order.known[i] |= bit
+                if answer:
+                    order.value[i] |= bit
+                return answer
+        return comp.leq(x, y) is not None
 
     def elem_json(self, x: QuantElem):
         return self.completion(x.polarity).pred_to_json(x.base, x)
@@ -301,23 +365,21 @@ def _law_reindex_preserves_lattice(ctx):
 
 
 def _law_leq_reflexive(ctx, polarity):
-    comp = ctx.completion(polarity)
     checked = 0
     for a in ctx.objects:
-        for x in comp.bounded_fiber(a, ctx.qmax):
+        for x in ctx.fiber(polarity, a):
             checked += 1
-            if comp.leq(x, x) is None:
+            if not ctx.le(x, x):
                 return checked, ctx.elem_json(x)
     return checked, None
 
 
 def _law_leq_transitive(ctx, polarity):
-    comp = ctx.completion(polarity)
     checked = 0
     for a in ctx.objects:
-        elems = comp.bounded_fiber(a, ctx.qmax)
+        elems = ctx.fiber(polarity, a)
         n = len(elems)
-        mat = [[comp.leq(x, y) is not None for y in elems] for x in elems]
+        mat = [[ctx.le(x, y) for y in elems] for x in elems]
         for i in range(n):
             for j in range(n):
                 if not mat[i][j]:
@@ -360,41 +422,30 @@ def _splittings(ctx):
             yield a1, a2
 
 
-def _law_pr_adjunction(ctx, polarity):
-    """exists_pr -| reindex(pr1) on EX fibers, reindex(pr1) -| forall_pr on UN."""
+def _law_pr_adjunction(ctx, polarity, side):
+    """exists_pr -| reindex(pr1) (side "exists") or reindex(pr1) -| forall_pr
+    (side "forall") on bounded fibers.  On the existential completion the
+    forall side is the exponential forall_pr_exp."""
     comp = ctx.completion(polarity)
     checked = 0
     for a1, a2 in _splittings(ctx):
-        prod = comp.cat.product(a1, a2)
         pr1 = comp.cat.proj1(a1, a2)
-        for x in comp.bounded_fiber(prod, ctx.qmax):
-            for y in comp.bounded_fiber(a1, ctx.qmax):
+        xs = ctx.fiber(polarity, comp.cat.product(a1, a2))
+        ys = ctx.fiber(polarity, a1)
+        pulled = [comp.reindex(pr1, y) for y in ys]
+        for x in xs:
+            if side == "exists":
+                qx = comp.exists_pr((a1, a2), x)
+            else:
+                qx = comp.forall_pr((a1, a2), x)
+            for y, ry in zip(ys, pulled):
                 checked += 1
-                if polarity == EX:
-                    lhs = comp.leq(comp.exists_pr((a1, a2), x), y) is not None
-                    rhs = comp.leq(x, comp.reindex(pr1, y)) is not None
+                if side == "exists":
+                    lhs = ctx.le(qx, y)
+                    rhs = ctx.le(x, ry)
                 else:
-                    lhs = comp.leq(comp.reindex(pr1, y), x) is not None
-                    rhs = comp.leq(y, comp.forall_pr((a1, a2), x)) is not None
-                if lhs != rhs:
-                    return checked, {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
-                                     "lhs": lhs, "rhs": rhs}
-    return checked, None
-
-
-def _law_pr_exp_adjunction(ctx):
-    """reindex(pr1) -| forall_pr_exp on the existential completion."""
-    comp = ctx.comp_ex
-    checked = 0
-    for a1, a2 in _splittings(ctx):
-        prod = comp.cat.product(a1, a2)
-        pr1 = comp.cat.proj1(a1, a2)
-        for x in comp.bounded_fiber(prod, ctx.qmax):
-            fx = forall_pr_exp(comp, (a1, a2), x)
-            for y in comp.bounded_fiber(a1, ctx.qmax):
-                checked += 1
-                lhs = comp.leq(comp.reindex(pr1, y), x) is not None
-                rhs = comp.leq(y, fx) is not None
+                    lhs = ctx.le(ry, x)
+                    rhs = ctx.le(y, qx)
                 if lhs != rhs:
                     return checked, {"a1": a1, "a2": a2, "x": ctx.elem_json(x), "y": ctx.elem_json(y),
                                      "lhs": lhs, "rhs": rhs}
@@ -418,20 +469,21 @@ def _law_inj_adjunction(ctx, polarity):
         if a == initial:
             continue
         j1 = comp.cat.inj1(a, b)
-        cop = comp.cat.coproduct(a, b)
-        for x in comp.bounded_fiber(a, ctx.qmax):
+        xs = ctx.fiber(polarity, a)
+        ys = ctx.fiber(polarity, comp.cat.coproduct(a, b))
+        pulled = [comp.reindex(j1, y) for y in ys]
+        for x in xs:
             ex_x = comp.exists_inj((a, b), x)
             fa_x = comp.forall_inj((a, b), x)
-            for y in comp.bounded_fiber(cop, ctx.qmax):
-                ry = comp.reindex(j1, y)
+            for y, ry in zip(ys, pulled):
                 checked += 1
-                lhs = comp.leq(ex_x, y) is not None
-                rhs = comp.leq(x, ry) is not None
+                lhs = ctx.le(ex_x, y)
+                rhs = ctx.le(x, ry)
                 if lhs != rhs:
                     return checked, {"side": "exists", "a": a, "b": b,
                                      "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs}
-                lhs = comp.leq(ry, x) is not None
-                rhs = comp.leq(y, fa_x) is not None
+                lhs = ctx.le(ry, x)
+                rhs = ctx.le(y, fa_x)
                 if lhs != rhs:
                     return checked, {"side": "forall", "a": a, "b": b,
                                      "x": ctx.elem_json(x), "y": ctx.elem_json(y), "lhs": lhs, "rhs": rhs}
@@ -525,38 +577,39 @@ def _law_bounds(ctx, polarity):
     for a in ctx.objects:
         top = comp.top(a)
         bottom = comp.bottom(a)
-        for x in comp.bounded_fiber(a, ctx.qmax):
+        for x in ctx.fiber(polarity, a):
             checked += 2
-            if comp.leq(x, top) is None:
+            if not ctx.le(x, top):
                 return checked, {"kind": "top", "x": ctx.elem_json(x)}
-            if comp.leq(bottom, x) is None:
+            if not ctx.le(bottom, x):
                 return checked, {"kind": "bottom", "x": ctx.elem_json(x)}
     return checked, None
 
 
 def _law_meet_join(ctx, polarity, op):
     comp = ctx.completion(polarity)
+    le = ctx.le
     checked = 0
     for a in ctx.objects:
-        elems = comp.bounded_fiber(a, ctx.qmax)
+        elems = ctx.fiber(polarity, a)
         for x in elems:
             for y in elems:
                 m = comp.meet(a, x, y) if op == "meet" else comp.join(a, x, y)
                 if op == "meet":
-                    ok = comp.leq(m, x) is not None and comp.leq(m, y) is not None
+                    ok = le(m, x) and le(m, y)
                 else:
-                    ok = comp.leq(x, m) is not None and comp.leq(y, m) is not None
+                    ok = le(x, m) and le(y, m)
                 checked += 2
                 if not ok:
                     return checked, {"kind": "bound", "x": ctx.elem_json(x), "y": ctx.elem_json(y)}
                 for z in elems:
                     checked += 1
                     if op == "meet":
-                        lhs = comp.leq(z, m) is not None
-                        rhs = (comp.leq(z, x) is not None) and (comp.leq(z, y) is not None)
+                        lhs = le(z, m)
+                        rhs = le(z, x) and le(z, y)
                     else:
-                        lhs = comp.leq(m, z) is not None
-                        rhs = (comp.leq(x, z) is not None) and (comp.leq(y, z) is not None)
+                        lhs = le(m, z)
+                        rhs = le(x, z) and le(y, z)
                     if lhs != rhs:
                         return checked, {"kind": "universal", "x": ctx.elem_json(x), "y": ctx.elem_json(y),
                                          "z": ctx.elem_json(z), "lhs": lhs, "rhs": rhs}
@@ -838,23 +891,23 @@ def _law_dial_lattice(ctx):
         return checked, {"failures": rep.failures[:3]}
     one = doc.cat.terminal
     initial = doc.cat.initial
+    zs = [dial_to_nested(nested, u) for u in objs]
+    first = {}  # class -> its first object's index
+    for k, c in enumerate(proj.table):
+        first.setdefault(c, k)
     for i, u in enumerate(objs):
-        zu = dial_to_nested(nested, u)
         for j, v in enumerate(objs):
-            zv = dial_to_nested(nested, v)
             ci, cj = proj.table[i], proj.table[j]
             key = (ci, cj) if ci <= cj else (cj, ci)
-            m_class = objs[[k for k in range(pre.n) if proj.table[k] == rep.meet[key]][0]]
-            j_class = objs[[k for k in range(pre.n) if proj.table[k] == rep.join[key]][0]]
             checked += 1
-            m = nested.meet(one, zu, zv)
-            if not nested.fiber_eq(one, m, dial_to_nested(nested, m_class)):
+            m = nested.meet(one, zs[i], zs[j])
+            if not nested.fiber_eq(one, m, zs[first[rep.meet[key]]]):
                 return checked, {"op": "meet", "u": _dial_json(doc, u), "v": _dial_json(doc, v)}
             if u.src == initial or v.src == initial:
                 continue
             checked += 1
-            jn = nested.join(one, zu, zv)
-            if not nested.fiber_eq(one, jn, dial_to_nested(nested, j_class)):
+            jn = nested.join(one, zs[i], zs[j])
+            if not nested.fiber_eq(one, jn, zs[first[rep.join[key]]]):
                 return checked, {"op": "join", "u": _dial_json(doc, u), "v": _dial_json(doc, v)}
     return checked, None
 
@@ -960,9 +1013,9 @@ _LAWS = {
     "completion-leq-transitive-un": (_law_leq_transitive, UN),
     "completion-reindex-functorial-ex": (_law_reindex_q_functorial, EX),
     "completion-reindex-functorial-un": (_law_reindex_q_functorial, UN),
-    "completion-exists-pr-adjunction": (_law_pr_adjunction, EX),
-    "completion-forall-pr-adjunction": (_law_pr_adjunction, UN),
-    "completion-forall-pr-exp-adjunction": (_law_pr_exp_adjunction,),
+    "completion-exists-pr-adjunction": (_law_pr_adjunction, EX, "exists"),
+    "completion-forall-pr-adjunction": (_law_pr_adjunction, UN, "forall"),
+    "completion-forall-pr-exp-adjunction": (_law_pr_adjunction, EX, "forall"),
     "completion-inj-adjunction-ex": (_law_inj_adjunction, EX),
     "completion-inj-adjunction-un": (_law_inj_adjunction, UN),
     "completion-bc-exists-pr-strict": (_law_bc_pr_strict, EX),

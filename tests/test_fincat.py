@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from doctrines.completion import _proj_reduction, _proj_reduction_of
+from doctrines.dialectica import eval_expand_arrow
 from doctrines.errors import CapabilityError, LoadError, SearchBudgetExceeded
 from doctrines.fincat import (
     Arrow,
@@ -324,6 +326,26 @@ class TestCanonicalMemo:
                 arrow = nth_proj(cat, [a, b, c], i)
                 assert arrow == nth_proj(SkelFinSet(), (a, b, c), i)
                 assert nth_proj(cat, (a, b, c), i) is arrow
+
+    def test_structure_maps_of_other_modules(self):
+        # the projection reductions of exists_proj/forall_proj and the
+        # evaluation expansion of forall_pr_exp, carriers 0..3
+        cat = SkelFinSet()
+        cards = range(4)
+        for factors in itertools.product(cards, repeat=3):
+            for k in range(4):
+                for keep in itertools.combinations(range(3), k):
+                    got = _proj_reduction(cat, list(factors), list(keep))
+                    assert got == _proj_reduction_of.__wrapped__(SkelFinSet(), factors, keep)
+                    assert _proj_reduction(cat, factors, keep) is got
+        for a1, a2, b in itertools.product(cards, repeat=3):
+            arrow = eval_expand_arrow(cat, a1, a2, b)
+            assert arrow == eval_expand_arrow.__wrapped__(SkelFinSet(), a1, a2, b)
+            assert eval_expand_arrow(cat, a1, a2, b) is arrow
+        fresh = SkelFinSet()
+        assert fresh._memo == {}
+        assert eval_expand_arrow(fresh, 2, 2, 2) is not eval_expand_arrow(cat, 2, 2, 2)
+        assert _proj_reduction(fresh, (2, 2, 2), (0, 2)) is not _proj_reduction(cat, (2, 2, 2), (0, 2))
 
     def test_instances_do_not_share(self):
         one, two = SkelFinSet(), SkelFinSet()

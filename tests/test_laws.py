@@ -1,12 +1,15 @@
 """Law suites: green on the honest build, red on each sabotaged fixture,
 deterministic reports."""
 
+from collections import Counter
+
 import pytest
 
-from doctrines.completion import EX, Completion
+from doctrines.completion import EX, UN, Completion
 from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
-from doctrines.laws import SUITES, LawContext, run_suite, verify_doctrine
-from doctrines.report import FAIL, SKIPPED
+from doctrines.errors import SearchBudgetExceeded
+from doctrines.laws import SUITES, LawContext, run_laws, run_suite, verify_doctrine
+from doctrines.report import FAIL, PASS, SKIPPED
 
 
 def small_ctx(**kw):
@@ -112,3 +115,150 @@ class TestOutcomePolicy:
         fail = next(r for r in rep.failed if r.law == "completion-leq-transitive-ex")
         assert fail.checked == 0
         assert "does not certify" in fail.counterexample["witness-validation"]
+
+
+class CountingCompletion(Completion):
+    """Counts the order decisions asked of it, pair by pair."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = Counter()
+
+    def leq(self, x, y):
+        self.calls[x, y] += 1
+        return super().leq(x, y)
+
+
+def counting_ctx(**kw):
+    P = powerset_doctrine()
+    return LawContext(P, comp_ex=CountingCompletion(P, EX), comp_un=CountingCompletion(P, UN), **kw)
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    """run_suite("all") at max_card=2, qmax=2 on counting completions, with
+    every Completion.leq call of the run counted as well."""
+    ctx = counting_ctx(max_card=2, qmax=2)
+    total = [0]
+    leq = Completion.leq
+
+    def counted(self, x, y):
+        total[0] += 1
+        return leq(self, x, y)
+
+    Completion.leq = counted
+    try:
+        rep = run_suite("all", ctx)
+    finally:
+        Completion.leq = leq
+    return ctx, rep, total[0]
+
+
+class TestFiberOrder:
+    # every fiber a law materializes at max_card=2 lies over 0..4
+    # (products and coproducts of objects up to 2)
+    FIBER_BASES = range(5)
+    # the laws that decide through ctx.le; the others call leq directly
+    ROUTED = (
+        "completion-leq-reflexive-ex", "completion-leq-reflexive-un",
+        "completion-leq-transitive-ex", "completion-leq-transitive-un",
+        "completion-exists-pr-adjunction", "completion-forall-pr-adjunction",
+        "completion-forall-pr-exp-adjunction",
+        "completion-inj-adjunction-ex", "completion-inj-adjunction-un",
+        "completion-bounds-ex", "completion-bounds-un",
+        "completion-meet-universal-ex", "completion-meet-universal-un",
+        "completion-join-universal-ex", "completion-join-universal-un",
+    )
+
+    def test_decision_count_guard(self, full_run):
+        # measured with the shared fiber order; the run without it made
+        # 231,396 calls, so a law that bypasses ctx.le shows up here
+        _, rep, total = full_run
+        assert rep.ok
+        assert sum(r.checked for r in rep.results) == 107_278
+        assert total <= 104_457
+
+    def test_le_agrees_with_leq_on_every_fiber(self, full_run):
+        ctx = full_run[0]
+        for polarity in (EX, UN):
+            fresh = Completion(ctx.doctrine, polarity)
+            for a in self.FIBER_BASES:
+                elems = ctx.fiber(polarity, a)
+                assert elems == fresh.bounded_fiber(a, ctx.qmax)
+                for x in elems:
+                    for y in elems:
+                        assert ctx.le(x, y) == (fresh.leq(x, y) is not None), (x, y)
+
+    def test_in_fiber_pairs_decided_at_most_once(self):
+        ctx = counting_ctx(max_card=2, qmax=1)
+        assert all(r.status == PASS for r in run_laws(ctx, self.ROUTED))
+        for polarity in (EX, UN):
+            calls = ctx.completion(polarity).calls
+            fibers = [set(ctx.fiber(polarity, a)) for a in self.FIBER_BASES]
+            for (x, y), n in calls.items():
+                if any(x in f and y in f for f in fibers):
+                    assert n == 1, (x, y, n)
+            # pairs outside the fibers, such as meets whose quantified
+            # object is above qmax, are asked again
+            assert max(calls.values()) > 1
+
+    def test_pairs_outside_built_fibers_reach_leq(self):
+        ctx = counting_ctx(max_card=2, qmax=1)
+        comp = ctx.comp_ex
+        inside = ctx.fiber(EX, 1)
+        unbuilt = comp.bounded_fiber(2, 1)  # no law asked for this fiber
+        beyond = comp.elem(1, 2, 0b10)  # quantified object above qmax
+        for x, y in ((unbuilt[1], unbuilt[2]), (inside[1], beyond), (beyond, inside[2])):
+            for _ in range(3):
+                assert ctx.le(x, y) == (comp.leq(x, y) is not None)
+            assert comp.calls[x, y] == 6
+        x, y = inside[1], inside[2]
+        assert [ctx.le(x, y) for _ in range(3)] == [comp.leq(x, y) is not None] * 3
+        assert comp.calls[x, y] == 2
+
+    def test_raising_decision_leaves_no_entry(self):
+        class Refusing(CountingCompletion):
+            refuse = True
+
+            def leq(self, x, y):
+                if self.refuse:
+                    self.calls[x, y] += 1
+                    raise SearchBudgetExceeded(5, 4, "test")
+                return super().leq(x, y)
+
+        P = powerset_doctrine()
+        ctx = LawContext(P, max_card=1, qmax=1, comp_ex=Refusing(P, EX))
+        comp = ctx.comp_ex
+        x, y = ctx.fiber(EX, 1)[:2]
+        for n in (1, 2):
+            with pytest.raises(SearchBudgetExceeded):
+                ctx.le(x, y)
+            assert comp.calls[x, y] == n
+        comp.refuse = False
+        assert ctx.le(x, y) == ctx.le(x, y) == (Completion(P, EX).leq(x, y) is not None)
+        assert comp.calls[x, y] == 3
+
+    def test_contexts_share_nothing(self):
+        P = powerset_doctrine()
+        comp = CountingCompletion(P, EX)
+        one = LawContext(P, max_card=1, qmax=1, comp_ex=comp)
+        two = LawContext(P, max_card=1, qmax=1, comp_ex=comp)
+        assert one.fiber(EX, 1) == two.fiber(EX, 1)
+        assert one.fiber(EX, 1) is not two.fiber(EX, 1)
+        x, y = one.fiber(EX, 1)[:2]
+        one.le(x, y)
+        one.le(x, y)
+        two.le(x, y)
+        assert comp.calls[x, y] == 2
+
+    def test_swapped_completion_reads_no_other_answers(self):
+        # the order is keyed on the completion object: the swapped-in
+        # completion has no fiber built yet, so it decides every time and
+        # never reads the answers of the one it replaced
+        ctx = counting_ctx(max_card=1, qmax=1)
+        x, y = ctx.fiber(EX, 1)[:2]
+        ctx.le(x, y)
+        ctx.comp_ex = CountingCompletion(ctx.doctrine, EX)
+        ctx.le(x, y)
+        ctx.le(x, y)
+        assert ctx.comp_ex.calls[x, y] == 2
