@@ -15,7 +15,7 @@ import sys
 from .completion import EX, UN, Completion, QuantElem
 from .dialectica import DialObj, bounded_dialobjs, dial_leq, dial_preorder
 from .doctrine import load_doctrine, mask_from_indices, powerset_doctrine
-from .errors import DEFAULT_BUDGET, DoctrineError, LoadError, SearchBudgetExceeded
+from .errors import DEFAULT_BUDGET, DoctrineError, LoadError, SearchBudgetExceeded, natural
 from .laws import SUITES, LawContext, run_suite, verify_doctrine
 from .poset import lattice_check, poset_reflect, to_dot
 from .principles import extract_choice, extract_counterexample, skolem_check
@@ -40,18 +40,6 @@ def _read_json(arg: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"not valid JSON: {exc}") from None
-
-
-def natural(value, what="value") -> int:
-    """A cardinality or a budget from user input: a nonnegative integer.
-
-    Also the argparse `type` of such options, where a ValueError becomes a
-    usage error (exit code 3).
-    """
-    n = int(value) if isinstance(value, str) else value
-    if type(n) is not int or n < 0:
-        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
-    return n
 
 
 def _load_elem(doc, data) -> QuantElem:
@@ -181,10 +169,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
-def _completion_for(doc, x: QuantElem, budget) -> Completion:
-    return Completion(doc, x.polarity, budget)
-
-
 def _dispatch(args) -> int:
     budget = args.budget
     doc = powerset_doctrine()
@@ -203,7 +187,7 @@ def _dispatch(args) -> int:
     if args.command == "leq":
         x = _load_elem(doc, args.x)
         y = _load_elem(doc, args.y)
-        comp = _completion_for(doc, x, budget)
+        comp = Completion(doc, x.polarity, budget)
         w = comp.leq(x, y)
         if w is None:
             _emit(args, {"holds": False}, "false")
@@ -218,7 +202,7 @@ def _dispatch(args) -> int:
     if args.command in ("meet", "join"):
         x = _load_elem(doc, args.x)
         y = _load_elem(doc, args.y)
-        comp = _completion_for(doc, x, budget)
+        comp = Completion(doc, x.polarity, budget)
         z = comp.meet(x.base, x, y) if args.command == "meet" else comp.join(x.base, x, y)
         payload = _elem_json(doc, z)
         _emit(args, payload, json.dumps(payload))
@@ -226,7 +210,7 @@ def _dispatch(args) -> int:
 
     if args.command in ("exists", "forall"):
         x = _load_elem(doc, args.x)
-        comp = _completion_for(doc, x, budget)
+        comp = Completion(doc, x.polarity, budget)
         if args.pr:
             try:
                 a1, a2 = (natural(v) for v in args.pr.split(","))
@@ -297,7 +281,7 @@ def _dispatch(args) -> int:
 
     if args.command == "choice":
         x = _load_elem(doc, args.x)
-        comp = _completion_for(doc, x, budget)
+        comp = Completion(doc, x.polarity, budget)
         cert = extract_choice(comp, x)
         if cert is None:
             _emit(args, {"witness": None}, "no witness: the existential is not provable")
@@ -307,7 +291,7 @@ def _dispatch(args) -> int:
 
     if args.command == "counterexample":
         x = _load_elem(doc, args.x)
-        comp = _completion_for(doc, x, budget)
+        comp = Completion(doc, x.polarity, budget)
         cert = extract_counterexample(comp, x)
         if cert is None:
             _emit(args, {"counterexample": None}, "no counterexample: the universal is not refutable")

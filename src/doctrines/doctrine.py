@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 
 from . import core
-from .errors import CapabilityError, LoadError, SearchBudgetExceeded
-from .fincat import Arrow, SkelFinSet, TableCat, _as_dict, load_category
+from .errors import CapabilityError, LoadError, SearchBudgetExceeded, natural
+from .fincat import Arrow, SkelFinSet, TableCat, _as_dict, _block, load_category
 from .poset import Preorder
 
 CAP_EX_PR = "existential-over-projections"
@@ -122,10 +122,15 @@ class Doctrine:
 
 
 def mask_from_indices(indices, carrier: int) -> int:
+    if not isinstance(indices, (list, tuple)):
+        raise LoadError(f"a predicate is a list of element indices, got {indices!r}", law="predicate-extent")
     mask = 0
     for i in indices:
-        i = int(i)
-        if not 0 <= i < carrier:
+        try:
+            i = natural(i, "predicate element")
+        except ValueError as exc:
+            raise LoadError(str(exc), law="predicate-extent") from None
+        if i >= carrier:
             raise LoadError(f"predicate element {i} outside carrier of size {carrier}", law="predicate-extent")
         mask |= 1 << i
     return mask
@@ -382,13 +387,15 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
         cat = load_category(catspec)
 
     fibers = {}
-    for obj_id, spec in data.get("fibers", {}).items():
+    for obj_id, spec in _block(data, "fibers", {}).items():
         if obj_id not in cat.objects():
             raise LoadError(f"fiber declared over unknown object {obj_id!r}", law="fiber-object")
-        elems = list(spec["elements"])
         try:
+            elems = list(spec["elements"])
             fibers[obj_id] = Preorder.from_pairs(elems, [tuple(p) for p in spec.get("leq", [])])
-        except ValueError as exc:
+        except KeyError as exc:
+            raise LoadError(f"fiber over {obj_id!r} has no {exc} list", law="fiber-order") from None
+        except (AttributeError, TypeError, ValueError) as exc:
             raise LoadError(f"fiber over {obj_id!r}: {exc}", law="fiber-order") from None
     missing = set(cat.objects()) - set(fibers)
     if missing:
@@ -400,13 +407,16 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
             raise LoadError(f"{kind} table for unknown arrow {name!r}", law="arrow-table")
         src = fibers[arrow.cod] if kind == "reindex" else fibers[arrow.dom]
         dst = fibers[arrow.dom] if kind == "reindex" else fibers[arrow.cod]
-        table = tuple(int(v) for v in block)
-        if len(table) != src.n or any(v < 0 or v >= dst.n for v in table):
+        try:
+            table = tuple(natural(v, f"{kind} table entry") for v in block)
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"{kind} table for {name!r}: {exc}", law="map-table") from None
+        if len(table) != src.n or any(v >= dst.n for v in table):
             raise LoadError(f"{kind} table for {name!r} is ill-formed", law="map-table")
         return arrow, table
 
     reindex_tables = {}
-    for name, block in data.get("reindex", {}).items():
+    for name, block in _block(data, "reindex", {}).items():
         arrow, table = table_for("reindex", name, block)
         reindex_tables[arrow] = table
     for name, arrow in cat.names.items():
@@ -414,15 +424,18 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
             raise LoadError(f"arrow {name!r} has no reindex table", law="map-table")
 
     exists_tables = {}
-    for name, block in data.get("exists", {}).items():
+    for name, block in _block(data, "exists", {}).items():
         arrow, table = table_for("exists", name, block)
         exists_tables[arrow] = table
     forall_tables = {}
-    for name, block in data.get("forall", {}).items():
+    for name, block in _block(data, "forall", {}).items():
         arrow, table = table_for("forall", name, block)
         forall_tables[arrow] = table
 
-    caps = frozenset(data.get("capabilities", []))
+    try:
+        caps = frozenset(_block(data, "capabilities", []))
+    except TypeError as exc:
+        raise LoadError(f"bad capability list: {exc}", law="capabilities") from None
     unknown = caps - ALL_CAPS
     if unknown:
         raise LoadError(f"unknown capability flags {sorted(unknown)}", law="capabilities")

@@ -1,4 +1,5 @@
-"""Shared exception types and the global arrow-search budget."""
+"""Shared exception types, the global arrow-search budget and the reader
+of nonnegative integers from input."""
 
 from __future__ import annotations
 
@@ -8,6 +9,20 @@ DEFAULT_BUDGET = 10**6
 def resolve_budget(budget: int | None = None) -> int:
     """Effective hom-search cap: the explicit argument, else DEFAULT_BUDGET."""
     return DEFAULT_BUDGET if budget is None else int(budget)
+
+
+def natural(value, what="value") -> int:
+    """An integer from user input: a cardinality, a budget, a table entry or
+    a predicate element, which must be a nonnegative integer.  Digit strings
+    are parsed; floats and booleans are refused, not truncated.
+
+    Also the argparse `type` of such options, where a ValueError becomes a
+    usage error (exit code 3).
+    """
+    n = int(value) if isinstance(value, str) else value
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+    return n
 
 
 class DoctrineError(Exception):

@@ -19,7 +19,7 @@ construct them as explicit arrows so code stays correct over any base.
 
 Canonical structure maps (identities, projections, injections, ``bang``,
 evaluation, the distributivity isos, the generic ``nth_proj`` and
-``reassoc_*``, and, registered from their own modules, the projection
+``reassoc_left``, and, registered from their own modules, the projection
 reductions behind ``exists_proj``/``forall_proj`` and the evaluation
 expansion behind ``forall_pr_exp``) are built once per category instance,
 on first request, and then shared: every later request for the same maps
@@ -41,6 +41,7 @@ from .errors import (
     NoMediatingArrow,
     NonUniqueMediatingArrow,
     SearchBudgetExceeded,
+    natural,
     resolve_budget,
 )
 
@@ -90,8 +91,6 @@ class SkelFinSet:
     """Skeleton of finite sets: object n has carrier {0,..,n-1} and every
     total function between carriers is an arrow."""
 
-    has_products = True
-    has_coproducts = True
     has_exponentials = True
 
     terminal = 1
@@ -106,14 +105,6 @@ class SkelFinSet:
     @_canonical
     def identity(self, a) -> Arrow:
         return Arrow(a, a, identity_table(a))
-
-    def arrow(self, dom, cod, table) -> Arrow:
-        table = tuple(int(v) for v in table)
-        if len(table) != dom:
-            raise ValueError(f"table length {len(table)} != dom card {dom}")
-        if any(v < 0 or v >= cod for v in table):
-            raise ValueError(f"table value out of range for cod card {cod}")
-        return Arrow(dom, cod, table)
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         return compose(g, f)
@@ -214,30 +205,6 @@ class SkelFinSet:
             v, g = divmod(i, e)
             table.append((g // b ** (a - 1 - v)) % b)
         return Arrow(a * e, b, tuple(table))
-
-    def transpose(self, f: Arrow, x, a) -> Arrow:
-        """Currying of f: X x A -> B into X -> B^A."""
-        if x * a != f.dom:
-            raise ValueError("transpose: dom is not the stated product")
-        b = f.cod
-        table = []
-        for xx in range(x):
-            rank = 0
-            for v in range(a):
-                rank = rank * b + f.table[xx * a + v]
-            table.append(rank)
-        return Arrow(x, b**a, tuple(table))
-
-    def untranspose(self, h: Arrow, a, b) -> Arrow:
-        """Inverse of transpose: X -> B^A back to X x A -> B."""
-        if h.cod != b**a:
-            raise ValueError("untranspose: cod is not the stated exponential")
-        table = []
-        for xx in range(h.dom):
-            g = h.table[xx]
-            for v in range(a):
-                table.append((g // b ** (a - 1 - v)) % b)
-        return Arrow(h.dom * a, b, tuple(table))
 
     # -- distributivity ----------------------------------------------
 
@@ -353,17 +320,6 @@ def reassoc_left(cat, a, b, c) -> Arrow:
     return cat.pair(cat.pair(p_a, p_b), p_c)
 
 
-@_canonical
-def reassoc_right(cat, a, b, c) -> Arrow:
-    """(A x B) x C -> A x (B x C)."""
-    ab = cat.product(a, b)
-    p_ab = cat.proj1(ab, c)
-    p_c = cat.proj2(ab, c)
-    p_a = cat.compose(cat.proj1(a, b), p_ab)
-    p_b = cat.compose(cat.proj2(a, b), p_ab)
-    return cat.pair(p_a, cat.pair(p_b, p_c))
-
-
 # ---------------------------------------------------------------------------
 # file-loaded finite categories
 # ---------------------------------------------------------------------------
@@ -393,14 +349,6 @@ class TableCat:
         self._points = s.get("points", {})
 
     # -- interface ----------------------------------------------------
-
-    @property
-    def has_products(self):
-        return bool(self._products)
-
-    @property
-    def has_coproducts(self):
-        return bool(self._coproducts)
 
     @property
     def has_exponentials(self):
@@ -496,21 +444,6 @@ class TableCat:
     def ev(self, b, a) -> Arrow:
         return self._chosen(self._exponentials, "exponential", b, a)[1]
 
-    def transpose(self, f: Arrow, x, a) -> Arrow:
-        obj, evm = self._chosen(self._exponentials, "exponential", f.cod, a)
-        swap = self.pair(self.proj2(a, x), self.proj1(a, x))
-        target = compose(f, swap)
-        found = []
-        for h in self.hom(x, obj):
-            cand = compose(self.ev(f.cod, a), product_map(self, self.identity(a), h))
-            if cand == target:
-                found.append(h)
-        if not found:
-            raise NoMediatingArrow(f"no transpose into {obj!r}")
-        if len(found) > 1:
-            raise NonUniqueMediatingArrow(f"transpose into {obj!r} is not unique")
-        return found[0]
-
     @_canonical
     def theta(self, a, b, c) -> Arrow:
         left = self.pair(self.proj1(a, b), compose(self.inj1(b, c), self.proj2(a, b)))
@@ -564,23 +497,27 @@ def load_category(source) -> TableCat:
     """
     data = _as_dict(source)
     try:
-        cards = {o["id"]: int(o["card"]) for o in data["objects"]}
+        cards = {o["id"]: natural(o["card"], "object card") for o in data["objects"]}
+    except ValueError as exc:
+        raise LoadError(str(exc), law="object-card") from None
     except (KeyError, TypeError) as exc:
         raise LoadError(f"bad object list: {exc}") from None
-    if any(c < 0 for c in cards.values()):
-        raise LoadError("object cards must be non-negative", law="object-card")
 
     homs: dict = {}
     names: dict = {}
-    for spec in data.get("arrows", []):
-        name, dom, cod = spec.get("id"), spec.get("dom"), spec.get("cod")
-        if dom not in cards or cod not in cards:
-            raise LoadError(f"arrow {name!r} references unknown object", law="arrow-table")
-        table = tuple(int(v) for v in spec.get("table", []))
-        if len(table) != cards[dom] or any(v < 0 or v >= cards[cod] for v in table):
+    for spec in _block(data, "arrows", []):
+        try:
+            name, dom, cod = spec.get("id"), spec.get("dom"), spec.get("cod")
+            if dom not in cards or cod not in cards:
+                raise LoadError(f"arrow {name!r} references unknown object", law="arrow-table")
+            table = tuple(natural(v, "arrow table entry") for v in spec.get("table", []))
+            duplicate = name in names
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise LoadError(f"bad arrow entry {spec!r}: {exc}", law="arrow-table") from None
+        if len(table) != cards[dom] or any(v >= cards[cod] for v in table):
             raise LoadError(f"arrow {name!r} has an ill-formed table", law="arrow-table")
         arr = Arrow(dom, cod, table)
-        if name in names:
+        if duplicate:
             raise LoadError(f"duplicate arrow id {name!r}", law="arrow-table")
         names[name] = arr
         homs.setdefault((dom, cod), [])
@@ -613,12 +550,13 @@ def load_category(source) -> TableCat:
                             law="composition-closure",
                         )
 
-    for triple in data.get("composition", []):
+    for triple in _block(data, "composition", []):
         try:
             fst, snd, res = triple
-        except ValueError:
+            known = fst in names and snd in names and res in names
+        except (TypeError, ValueError):
             raise LoadError("composition entries must be [f, g, result]") from None
-        if fst not in names or snd not in names or res not in names:
+        if not known:
             raise LoadError(f"composition entry {triple} names unknown arrows", law="composition-table")
         h = compose(names[snd], names[fst])
         if names[res] != h:
@@ -627,23 +565,38 @@ def load_category(source) -> TableCat:
                 law="composition-table",
             )
 
-    structure = _load_structure(data.get("structure", {}), names)
+    structure = _load_structure(_block(data, "structure", {}), cards, names)
     cat = TableCat(cards, homs, names, structure)
     _verify_structure(cat, cards)
     return cat
 
 
 def _as_dict(source):
-    if isinstance(source, dict):
-        return source
-    text = source
-    if isinstance(source, str) and not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"not valid JSON: {exc}") from None
+    data = source
+    if isinstance(source, str):
+        text = source
+        if not source.lstrip().startswith("{"):
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise LoadError(f"cannot read {source!r}: {exc}") from None
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise LoadError(f"not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise LoadError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _block(data, key, default):
+    """``data[key]``, or `default` when absent; a block whose JSON type
+    differs from the default's is a LoadError."""
+    value = data.get(key, default)
+    if not isinstance(value, type(default)):
+        raise LoadError(f"{key!r} must be a JSON {'object' if isinstance(default, dict) else 'array'}")
+    return value
 
 
 def _name_of(names, arrow):
@@ -653,32 +606,41 @@ def _name_of(names, arrow):
     return repr(arrow)
 
 
-def _load_structure(block, names):
+def _load_structure(block, cards, names):
+    def obj(name, what):
+        if name not in cards:
+            raise LoadError(f"{what} references unknown object {name!r}", law="structure-ref")
+        return name
+
     def arrow_ref(name, what):
         if name not in names:
             raise LoadError(f"{what} references unknown arrow {name!r}", law="structure-ref")
         return names[name]
 
     s: dict = {}
-    if "terminal" in block:
-        s["terminal"] = block["terminal"]
-    if "initial" in block:
-        s["initial"] = block["initial"]
-    s["products"] = {}
-    for p in block.get("products", []):
-        key = (p["left"], p["right"])
-        s["products"][key] = (p["obj"], arrow_ref(p["proj1"], "product"), arrow_ref(p["proj2"], "product"))
-    s["coproducts"] = {}
-    for p in block.get("coproducts", []):
-        key = (p["left"], p["right"])
-        s["coproducts"][key] = (p["obj"], arrow_ref(p["inj1"], "coproduct"), arrow_ref(p["inj2"], "coproduct"))
-    s["exponentials"] = {}
-    for p in block.get("exponentials", []):
-        key = (p["base"], p["exp"])
-        s["exponentials"][key] = (p["obj"], arrow_ref(p["ev"], "exponential"))
-    s["points"] = {}
-    for obj, pts in block.get("points", {}).items():
-        s["points"][obj] = [arrow_ref(n, "point") for n in pts]
+    try:
+        for key in ("terminal", "initial"):
+            if key in block:
+                s[key] = obj(block[key], key)
+        s["products"] = {}
+        for p in block.get("products", []):
+            key = (obj(p["left"], "product"), obj(p["right"], "product"))
+            s["products"][key] = (obj(p["obj"], "product"), arrow_ref(p["proj1"], "product"),
+                                  arrow_ref(p["proj2"], "product"))
+        s["coproducts"] = {}
+        for p in block.get("coproducts", []):
+            key = (obj(p["left"], "coproduct"), obj(p["right"], "coproduct"))
+            s["coproducts"][key] = (obj(p["obj"], "coproduct"), arrow_ref(p["inj1"], "coproduct"),
+                                    arrow_ref(p["inj2"], "coproduct"))
+        s["exponentials"] = {}
+        for p in block.get("exponentials", []):
+            key = (obj(p["base"], "exponential"), obj(p["exp"], "exponential"))
+            s["exponentials"][key] = (obj(p["obj"], "exponential"), arrow_ref(p["ev"], "exponential"))
+        s["points"] = {}
+        for o, pts in block.get("points", {}).items():
+            s["points"][obj(o, "point")] = [arrow_ref(n, "point") for n in pts]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise LoadError(f"bad structure block: {exc!r}", law="structure-ref") from None
     return s
 
 
@@ -759,7 +721,7 @@ def _verify_structure(cat: TableCat, cards):
             n_expected = len(cat.hom(cat.product(a, x), b))
             if len(seen) != len(cat.hom(x, obj)) or len(seen) != n_expected:
                 raise LoadError(
-                    f"transpose for {b!r}^{a!r} is not a bijection at {x!r}",
+                    f"currying into {b!r}^{a!r} is not a bijection at {x!r}",
                     law="exponential-universal-property",
                 )
     for obj, pts in cat._points.items():

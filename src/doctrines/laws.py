@@ -31,6 +31,7 @@ that need the witness arrow, or that decide in another completion
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -416,19 +417,13 @@ def _law_reindex_q_functorial(ctx, polarity):
 # ---------------------------------------------------------------------------
 
 
-def _splittings(ctx):
-    for a1 in ctx.objects:
-        for a2 in ctx.objects:
-            yield a1, a2
-
-
 def _law_pr_adjunction(ctx, polarity, side):
     """exists_pr -| reindex(pr1) (side "exists") or reindex(pr1) -| forall_pr
     (side "forall") on bounded fibers.  On the existential completion the
     forall side is the exponential forall_pr_exp."""
     comp = ctx.completion(polarity)
     checked = 0
-    for a1, a2 in _splittings(ctx):
+    for a1, a2 in itertools.product(ctx.objects, repeat=2):
         pr1 = comp.cat.proj1(a1, a2)
         xs = ctx.fiber(polarity, comp.cat.product(a1, a2))
         ys = ctx.fiber(polarity, a1)
@@ -465,7 +460,7 @@ def _law_inj_adjunction(ctx, polarity):
     comp = ctx.completion(polarity)
     checked = 0
     initial = getattr(comp.cat, "initial", None)
-    for a, b in _splittings(ctx):
+    for a, b in itertools.product(ctx.objects, repeat=2):
         if a == initial:
             continue
         j1 = comp.cat.inj1(a, b)
@@ -495,10 +490,12 @@ def _law_inj_adjunction(ctx, polarity):
 # ---------------------------------------------------------------------------
 
 
-def _law_bc_pr_strict(ctx, polarity):
+def _law_bc_pr_strict(ctx, polarity, side):
     """Substitution commutes with the freely added quantifier as literal
-    triples, not just up to mutual order."""
+    triples, not just up to mutual order.  On the existential completion
+    the forall side is the exponential forall_pr_exp."""
     comp = ctx.completion(polarity)
+    quantify = comp.exists_pr if side == "exists" else comp.forall_pr
     checked = 0
     cat = comp.cat
     for f in ctx.arrows():
@@ -507,29 +504,8 @@ def _law_bc_pr_strict(ctx, polarity):
             fx1 = product_map(cat, f, cat.identity(c))
             for x in comp.bounded_fiber(cat.product(a, c), ctx.qmax):
                 checked += 1
-                if polarity == EX:
-                    left = comp.reindex(f, comp.exists_pr((a, c), x))
-                    right = comp.exists_pr((d, c), comp.reindex(fx1, x))
-                else:
-                    left = comp.reindex(f, comp.forall_pr((a, c), x))
-                    right = comp.forall_pr((d, c), comp.reindex(fx1, x))
-                if left != right:
-                    return checked, {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)}
-    return checked, None
-
-
-def _law_bc_pr_exp_strict(ctx):
-    comp = ctx.comp_ex
-    cat = comp.cat
-    checked = 0
-    for f in ctx.arrows():
-        d, a = f.dom, f.cod
-        for c in ctx.objects:
-            fx1 = product_map(cat, f, cat.identity(c))
-            for x in comp.bounded_fiber(cat.product(a, c), ctx.qmax):
-                checked += 1
-                left = comp.reindex(f, forall_pr_exp(comp, (a, c), x))
-                right = forall_pr_exp(comp, (d, c), comp.reindex(fx1, x))
+                left = comp.reindex(f, quantify((a, c), x))
+                right = quantify((d, c), comp.reindex(fx1, x))
                 if left != right:
                     return checked, {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)}
     return checked, None
@@ -662,8 +638,8 @@ def _law_duality_involution(ctx):
 
 
 def _law_duality_matrix(ctx):
-    """The UN order matrix is the transpose of the EX matrix over the
-    order-reversed base."""
+    """The UN order matrix is the EX matrix over the order-reversed base
+    with rows and columns exchanged."""
     comp_un = ctx.comp_un
     comp_dual = dual_completion(comp_un)
     checked = 0
@@ -884,7 +860,7 @@ def _law_dial_lattice(ctx):
     nested = nested_completion(doc, ctx.budget)
     objs = bounded_dialobjs(doc, ctx.max_card)
     pre = dial_preorder(doc, objs, ctx.budget)
-    poset, proj = poset_reflect(pre)
+    poset, cls = poset_reflect(pre)
     rep = lattice_check(poset)
     checked = pre.n * pre.n
     if not rep.ok:
@@ -893,11 +869,11 @@ def _law_dial_lattice(ctx):
     initial = doc.cat.initial
     zs = [dial_to_nested(nested, u) for u in objs]
     first = {}  # class -> its first object's index
-    for k, c in enumerate(proj.table):
+    for k, c in enumerate(cls):
         first.setdefault(c, k)
     for i, u in enumerate(objs):
         for j, v in enumerate(objs):
-            ci, cj = proj.table[i], proj.table[j]
+            ci, cj = cls[i], cls[j]
             key = (ci, cj) if ci <= cj else (cj, ci)
             checked += 1
             m = nested.meet(one, zs[i], zs[j])
@@ -1018,9 +994,9 @@ _LAWS = {
     "completion-forall-pr-exp-adjunction": (_law_pr_adjunction, EX, "forall"),
     "completion-inj-adjunction-ex": (_law_inj_adjunction, EX),
     "completion-inj-adjunction-un": (_law_inj_adjunction, UN),
-    "completion-bc-exists-pr-strict": (_law_bc_pr_strict, EX),
-    "completion-bc-forall-pr-strict": (_law_bc_pr_strict, UN),
-    "completion-bc-forall-pr-exp-strict": (_law_bc_pr_exp_strict,),
+    "completion-bc-exists-pr-strict": (_law_bc_pr_strict, EX, "exists"),
+    "completion-bc-forall-pr-strict": (_law_bc_pr_strict, UN, "forall"),
+    "completion-bc-forall-pr-exp-strict": (_law_bc_pr_strict, EX, "forall"),
     "completion-bc-inj-strict-ex": (_law_bc_inj_strict, EX),
     "completion-bc-inj-strict-un": (_law_bc_inj_strict, UN),
     "completion-bounds-ex": (_law_bounds, EX),

@@ -1,4 +1,4 @@
-"""Finite preorders and posets: Galois adjoints, reflection, lattice checks.
+"""Finite preorders and posets: reflection, lattice checks.
 
 Orders are stored as tuples of row bitmasks: ``rows[i]`` has bit j set
 iff element i is below element j.  Completion fibers arrive here as
@@ -50,6 +50,8 @@ class Preorder:
         n = len(labels)
         rows = [1 << i for i in range(n)]
         for a, b in pairs:
+            if a not in idx or b not in idx:
+                raise ValueError(f"order pair ({a!r}, {b!r}) names an unknown element")
             rows[idx[a]] |= 1 << idx[b]
         changed = True
         while changed:
@@ -124,30 +126,6 @@ class Poset(Preorder):
                     )
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    src: Preorder
-    dst: Preorder
-    table: tuple
-
-    def __post_init__(self):
-        if len(self.table) != self.src.n:
-            raise ValueError("table length disagrees with source size")
-        for i in range(self.src.n):
-            for j in range(self.src.n):
-                if self.src.le(i, j) and not self.dst.le(self.table[i], self.table[j]):
-                    raise ValueError(f"not monotone at ({i},{j})")
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
-    def compose(self, other: "MonotoneMap") -> "MonotoneMap":
-        """self after other."""
-        if other.dst is not self.src and other.dst != self.src:
-            raise ValueError("composition endpoints disagree")
-        return MonotoneMap(other.src, self.dst, tuple(self.table[v] for v in other.table))
-
-
 def _least(p: Preorder, members) -> int | None:
     """An element of `members` below all of them, if any (unique in a poset)."""
     for i in members:
@@ -163,53 +141,13 @@ def _greatest(p: Preorder, members) -> int | None:
     return None
 
 
-def left_adjoint_of(f: MonotoneMap) -> MonotoneMap | None:
-    """The g with g(q) <= p iff q <= f(p), when it exists.
-
-    g(q) must be the least element of {p : q <= f(p)}; absence of any
-    such least element means absence of the adjoint.
-    """
-    src, dst = f.src, f.dst
-    table = []
-    for q in range(dst.n):
-        cands = [p for p in range(src.n) if dst.le(q, f.table[p])]
-        lo = _least(src, cands)
-        if lo is None:
-            return None
-        table.append(lo)
-    g = MonotoneMap(dst, src, tuple(table))
-    for q in range(dst.n):
-        for p in range(src.n):
-            if src.le(g.table[q], p) != dst.le(q, f.table[p]):
-                return None
-    return g
-
-
-def right_adjoint_of(f: MonotoneMap) -> MonotoneMap | None:
-    """The g with f(p) <= q iff p <= g(q), when it exists."""
-    src, dst = f.src, f.dst
-    table = []
-    for q in range(dst.n):
-        cands = [p for p in range(src.n) if dst.le(f.table[p], q)]
-        hi = _greatest(src, cands)
-        if hi is None:
-            return None
-        table.append(hi)
-    g = MonotoneMap(dst, src, tuple(table))
-    for q in range(dst.n):
-        for p in range(src.n):
-            if src.le(p, g.table[q]) != dst.le(f.table[p], q):
-                return None
-    return g
-
-
-def poset_reflect(p: Preorder) -> tuple[Poset, MonotoneMap]:
+def poset_reflect(p: Preorder) -> tuple[Poset, tuple]:
     """Quotient a preorder by mutual comparability.
 
     The canonical representative of a class is its least-index member;
     classes are ordered by their representatives' order, which is well
-    defined.  Returns the quotient poset and the (surjective, monotone)
-    projection onto it.
+    defined.  Returns the quotient poset and each element's class index,
+    the (surjective, monotone) projection onto the quotient as a table.
     """
     n = p.n
     rep = []
@@ -228,7 +166,11 @@ def poset_reflect(p: Preorder) -> tuple[Poset, MonotoneMap]:
     )
     quotient = Poset(labels, rows)
     table = tuple(pos[rep[i]] for i in range(n))
-    return quotient, MonotoneMap(p, quotient, table)
+    for i in range(n):
+        for j in range(n):
+            if p.le(i, j) and not quotient.le(table[i], table[j]):
+                raise ValueError(f"projection not monotone at ({i},{j})")
+    return quotient, table
 
 
 @dataclass

@@ -20,11 +20,10 @@ from .fincat import Arrow, compose, prod_obj
 
 @dataclass(frozen=True)
 class ChoiceCertificate:
-    """A witness arrow A -> B, validated on construction: the top predicate
-    on A is below the substitution of alpha along <id, witness>."""
+    """A witness arrow A -> B, validated before it is returned: the top
+    predicate on A is below the substitution of alpha along <id, witness>."""
 
     witness: Arrow
-    validated: bool
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class CounterexampleCertificate:
     below the bottom predicate on A."""
 
     counterexample: Arrow
-    validated: bool
 
 
 def _via_unit(cat, w: Arrow, a) -> Arrow:
@@ -55,7 +53,7 @@ def extract_choice(comp: Completion, x: QuantElem) -> ChoiceCertificate | None:
     f = _via_unit(comp.cat, w.arrow, x.base)
     if not _choice_valid(comp, x, f):
         raise WitnessValidationError(f"choice witness {f!r} failed semantic validation")
-    return ChoiceCertificate(f, True)
+    return ChoiceCertificate(f)
 
 
 def _choice_valid(comp: Completion, x: QuantElem, f: Arrow) -> bool:
@@ -78,7 +76,7 @@ def extract_counterexample(comp: Completion, x: QuantElem) -> CounterexampleCert
     g = _via_unit(comp.cat, w.arrow, x.base)
     if not _counterexample_valid(comp, x, g):
         raise WitnessValidationError(f"counterexample {g!r} failed semantic validation")
-    return CounterexampleCertificate(g, True)
+    return CounterexampleCertificate(g)
 
 
 def _counterexample_valid(comp: Completion, x: QuantElem, g: Arrow) -> bool:

@@ -27,9 +27,6 @@ class LawReport:
     results: list = field(default_factory=list)
     elapsed: float = 0.0
 
-    def add(self, result: LawResult):
-        self.results.append(result)
-
     def extend(self, results):
         self.results.extend(results)
 
@@ -67,9 +64,6 @@ class LawReport:
         if with_timing:
             d["elapsed"] = self.elapsed
         return d
-
-    def to_json(self, with_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(with_timing), indent=2, sort_keys=True)
 
     def render(self, with_timing: bool = True) -> str:
         width = max((len(r.law) for r in self.results), default=10) + 2

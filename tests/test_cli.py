@@ -47,7 +47,8 @@ class TestLeq:
     def test_bad_element(self, capsys):
         for bad in ('{"polarity": "EX"}', '{"polarity": "XX"}', elem("EX", 1, 1, 5),
                     elem("EX", -1, 1, []), elem("EX", 1, -1, []), elem("EX", "one", 1, []),
-                    elem("EX", 1.7, 1, []), elem("EX", 1, True, [])):
+                    elem("EX", 1.7, 1, []), elem("EX", 1, True, []), elem("EX", 1, 2, [1.7]),
+                    elem("EX", 1, 2, [True])):
             code, _, err = run(capsys, "leq", bad, elem("EX", 1, 1, [0]))
             assert code == 3
             assert "input error" in err
@@ -195,7 +196,7 @@ class TestVerifyLaws:
 
 
 class TestCheckDoctrine:
-    def make_doctrine_file(self, tmp_path, broken=False, capabilities=()):
+    def make_doctrine_file(self, tmp_path, broken=False, capabilities=(), edit=None):
         cat_data = skel_category_json(1)
         fibers = {
             "n0": {"elements": ["e"], "leq": []},
@@ -207,9 +208,11 @@ class TestCheckDoctrine:
                 reindex[arrow["id"]] = [0] * (2 if arrow["cod"] == "n1" else 1)
             else:
                 reindex[arrow["id"]] = [1, 1] if broken else [0, 1]
+        data = {"category": cat_data, "fibers": fibers, "reindex": reindex, "capabilities": list(capabilities)}
+        if edit is not None:
+            edit(data)
         path = tmp_path / ("broken.json" if broken else "good.json")
-        path.write_text(json.dumps({"category": cat_data, "fibers": fibers, "reindex": reindex,
-                                    "capabilities": list(capabilities)}))
+        path.write_text(json.dumps(data))
         return str(path)
 
     def test_good_file(self, capsys, tmp_path):
@@ -241,6 +244,20 @@ class TestCheckDoctrine:
         path.write_text("{not json")
         code, _, err = run(capsys, "check-doctrine", str(path))
         assert code == 3
+        ident = next(a["id"] for a in skel_category_json(1)["arrows"] if a["dom"] == a["cod"] == "n1")
+        for edit in (
+            lambda d: d["fibers"]["n1"].update(leq=[["bot", "zzz"]]),
+            lambda d: d["fibers"]["n1"].pop("elements"),
+            lambda d: d["fibers"]["n1"].update(leq=[5]),
+            lambda d: d["category"]["structure"]["products"][0].pop("right"),
+            lambda d: d["category"]["arrows"].append(5),
+            lambda d: d.update(fibers=[]),
+            lambda d: d["category"]["objects"][1].update(card=1.7),
+            lambda d: d["reindex"].update({ident: [0.2, 1.9]}),
+        ):
+            code, _, err = run(capsys, "check-doctrine", self.make_doctrine_file(tmp_path, edit=edit))
+            assert code == 3
+            assert err.startswith("input error") and err.count("\n") == 1
 
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run(capsys, "leq", "no-such-file.json", "also-missing.json")

@@ -17,6 +17,7 @@ from doctrines.completion import (
 from doctrines.dialectica import DialObj, bounded_dialobjs, dial_leq, nested_completion
 from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
 from doctrines.errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
+from doctrines.fincat import Arrow
 
 P = powerset_doctrine()
 C = P.cat
@@ -192,7 +193,7 @@ class TestReindex:
 
     def test_point_picks_row(self):
         diag = ex.elem(2, 2, mask([(0, 0), (1, 1)], 2))
-        pt = C.arrow(1, 2, [1])
+        pt = Arrow(1, 2, (1,))
         got = ex.reindex(pt, diag)
         assert got == ex.elem(1, 2, mask([(0, 1)], 2))
 

@@ -15,8 +15,8 @@ from doctrines.doctrine import (
 )
 from doctrines.errors import LoadError
 from doctrines.fincat import skel_category_json
-from doctrines.laws import verify_doctrine
-from doctrines.poset import MonotoneMap, left_adjoint_of
+from doctrines.laws import LawContext, run_laws, verify_doctrine
+from doctrines.report import PASS
 
 P = powerset_doctrine()
 C = P.cat
@@ -74,8 +74,9 @@ class TestPowerset:
     def test_masks_roundtrip(self):
         assert mask_from_indices([0, 3], 4) == 0b1001
         assert indices_from_mask(0b1001) == [0, 3]
-        with pytest.raises(LoadError):
-            mask_from_indices([4], 4)
+        for bad in ([4], [-1], [1.7], [True], [[1]], 5):
+            with pytest.raises(LoadError):
+                mask_from_indices(bad, 4)
 
 
 class TestOp:
@@ -95,24 +96,16 @@ class TestOp:
         assert op.join(2, 0b01, 0b10) == 0
 
     def test_swaps_adjoints_by_galois_search(self):
-        # materialize the fiber posets; under op, the left adjoint of the
-        # preimage map is the old right adjoint
+        # both adjunction laws hold on op(P) by exhaustive search, and
+        # under op the left adjoint of reindexing is P's right adjoint
         op = op_doctrine(P)
-        f = C.bang(2)  # 2 -> 1
-        fiber2 = [0, 1, 2, 3]
-        fiber1 = [0, 1]
-
-        def as_map(doc):
-            import doctrines.poset as poset
-
-            src = poset.Preorder.from_le(fiber1, lambda p, q: doc.fiber_leq(1, p, q))
-            dst = poset.Preorder.from_le(fiber2, lambda p, q: doc.fiber_leq(2, p, q))
-            return MonotoneMap(src, dst, tuple(P.reindex(f, v) for v in fiber1))
-
-        la_plain = left_adjoint_of(as_map(P))
-        la_op = left_adjoint_of(as_map(op))
-        assert tuple(P.exists_along(f, u) for u in fiber2) == la_plain.table
-        assert tuple(P.forall_along(f, u) for u in fiber2) == la_op.table
+        results = run_laws(LawContext(doctrine=op, max_card=2), ["adjunction-exists-along", "adjunction-forall-along"])
+        assert [(r.status, r.checked > 0) for r in results] == [(PASS, True), (PASS, True)]
+        for a in range(3):
+            for b in range(3):
+                for f in C.iter_hom(a, b):
+                    for u in range(1 << a):
+                        assert op.exists_along(f, u) == P.forall_along(f, u)
 
     def test_witness_hooks_swap(self):
         op = op_doctrine(P)
@@ -238,6 +231,35 @@ class TestTabular:
 
     def test_all_caps_known(self):
         assert "existential-over-projections" in ALL_CAPS
+
+    def test_malformed_files(self):
+        ident = next(a["id"] for a in skel_category_json(1)["arrows"] if a["dom"] == a["cod"] == "n1")
+        edits = {
+            "fiber-order": [
+                lambda d: d["fibers"]["n1"].update(leq=[["bot", "zzz"]]),
+                lambda d: d["fibers"]["n1"].pop("elements"),
+                lambda d: d["fibers"]["n1"].update(leq=[5]),
+                lambda d: d["fibers"].update(n1=5),
+            ],
+            "map-table": [
+                lambda d: d["reindex"].update({ident: [0.2, 1.9]}),
+                lambda d: d["reindex"].update({ident: [False, True]}),
+                lambda d: d["reindex"].update({ident: 5}),
+            ],
+            "format": [
+                lambda d: d.update(fibers=[]),
+                lambda d: d.update(reindex=[]),
+                lambda d: d.update(category=[]),
+            ],
+            "capabilities": [lambda d: d.update(capabilities=[[1]])],
+        }
+        for law, cases in edits.items():
+            for edit in cases:
+                data = tiny_doctrine_data()
+                edit(data)
+                with pytest.raises(LoadError) as e:
+                    load_doctrine(data)
+                assert e.value.law == law
 
 
 class TestOpWrap:

@@ -1,11 +1,16 @@
 """Every global name a library module loads is defined there or in
-builtins: an undefined-name check that needs only the standard library."""
+builtins: an undefined-name check that needs only the standard library.
+The top-level package exports exactly what its callers outside the
+package take from it."""
 
+import ast
 import builtins
 import dis
 import importlib
 import pkgutil
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +39,27 @@ def test_global_names_defined(name):
     namespace = vars(module)
     undefined = sorted({n for n in global_loads(code) if n not in namespace and not hasattr(builtins, n)})
     assert undefined == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def top_level_names(tree):
+    """Names taken from the top-level package by ``from doctrines import``
+    or as ``doctrines.<name>``; dunders such as ``__file__`` are not API."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "doctrines" and node.level == 0:
+            yield from (alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "doctrines" and not node.attr.startswith("__")):
+            yield node.attr
+
+
+def test_all_is_what_callers_use():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\n+```python\n(.*?)```", readme, re.S).group(1)
+    sources = [sketch] + [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    used = {name for source in sources for name in top_level_names(ast.parse(source))}
+    assert len(doctrines.__all__) == len(set(doctrines.__all__))
+    assert set(doctrines.__all__) == used
+    assert all(hasattr(doctrines, name) for name in used)

@@ -1,6 +1,5 @@
-"""Poset layer: the class-built order matrix against the full scan, Galois
-adjoints against monotone-map enumeration, reflection, lattice reports,
-DOT export."""
+"""Poset layer: the class-built order matrix against the full scan,
+reflection, lattice reports, DOT export."""
 
 import random
 
@@ -11,16 +10,7 @@ from hypothesis import strategies as st
 from doctrines.completion import EX, UN, Completion
 from doctrines.dialectica import bounded_dialobjs, dial_leq, dial_preorder
 from doctrines.doctrine import powerset_doctrine
-from doctrines.poset import (
-    MonotoneMap,
-    Poset,
-    Preorder,
-    lattice_check,
-    left_adjoint_of,
-    poset_reflect,
-    right_adjoint_of,
-    to_dot,
-)
+from doctrines.poset import Poset, Preorder, lattice_check, poset_reflect, to_dot
 
 
 def chain(n):
@@ -31,53 +21,6 @@ def boolean(n_atoms):
     """Subsets of an n-element set ordered by inclusion, labels are masks."""
     masks = list(range(1 << n_atoms))
     return Poset.from_le(masks, lambda p, q: p & ~q == 0)
-
-
-def all_monotone(src, dst):
-    """Brute-force oracle: every monotone table src -> dst."""
-    out = []
-    table = [0] * src.n
-    if src.n == 0:
-        return [MonotoneMap(src, dst, ())]
-    while True:
-        if all(
-            dst.le(table[i], table[j])
-            for i in range(src.n)
-            for j in range(src.n)
-            if src.le(i, j)
-        ):
-            out.append(MonotoneMap(src, dst, tuple(table)))
-        i = src.n - 1
-        while i >= 0:
-            table[i] += 1
-            if table[i] < dst.n:
-                break
-            table[i] = 0
-            i -= 1
-        if i < 0:
-            return out
-
-
-def adjoints_by_enumeration(f, side):
-    """All monotone g satisfying the adjunction; the oracle for both
-    adjoint constructions."""
-    found = []
-    for g in all_monotone(f.dst, f.src):
-        if side == "left":
-            ok = all(
-                f.src.le(g.table[q], p) == f.dst.le(q, f.table[p])
-                for q in range(f.dst.n)
-                for p in range(f.src.n)
-            )
-        else:
-            ok = all(
-                f.src.le(p, g.table[q]) == f.dst.le(f.table[p], q)
-                for q in range(f.dst.n)
-                for p in range(f.src.n)
-            )
-        if ok:
-            found.append(g)
-    return found
 
 
 def full_scan_rows(labels, le):
@@ -109,20 +52,6 @@ def built_asking_once(labels, le):
     classes = poset_reflect(pre)[0].n
     assert len(log) <= 2 * pre.n * classes
     return pre
-
-
-@st.composite
-def small_posets(draw):
-    n = draw(st.integers(1, 4))
-    pairs = draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            max_size=6,
-        )
-    )
-    pre = Preorder.from_pairs(list(range(n)), pairs)
-    p, _ = poset_reflect(pre)
-    return p
 
 
 class TestFromLe:
@@ -179,84 +108,18 @@ class TestFromLe:
             Preorder.from_le("abc", lambda x, y: x == y or (x, y) in holds)
 
 
-class TestAdjoints:
-    def test_identity_chain(self):
-        p = chain(3)
-        f = MonotoneMap(p, p, (0, 1, 2))
-        assert left_adjoint_of(f).table == (0, 1, 2)
-        assert right_adjoint_of(f).table == (0, 1, 2)
-
-    def test_preimage_of_collapse(self):
-        # carriers: subsets of a 2-set and of a 1-set; f = preimage along 2->1
-        b1, b2 = boolean(1), boolean(2)
-        # preimage of {} is {}, of {0} is {0,1}
-        f = MonotoneMap(b1, b2, (0, 3))
-        left = left_adjoint_of(f)
-        right = right_adjoint_of(f)
-        # direct image: nonempty iff mask nonempty
-        assert left.table == tuple(0 if m == 0 else 1 for m in range(4))
-        # all-fibers-inside: full iff mask is full
-        assert right.table == tuple(1 if m == 3 else 0 for m in range(4))
-        assert adjoints_by_enumeration(f, "left") == [left]
-        assert adjoints_by_enumeration(f, "right") == [right]
-
-    def test_constant_maps(self):
-        # brute force decides: constant top has a left adjoint (constant
-        # bottom) and no right adjoint; dually for constant bottom
-        p = chain(2)
-        top = MonotoneMap(p, p, (1, 1))
-        left = left_adjoint_of(top)
-        assert left.table == (0, 0)
-        assert adjoints_by_enumeration(top, "left") == [left]
-        assert right_adjoint_of(top) is None
-        assert adjoints_by_enumeration(top, "right") == []
-        bottom = MonotoneMap(p, p, (0, 0))
-        right = right_adjoint_of(bottom)
-        assert right.table == (1, 1)
-        assert adjoints_by_enumeration(bottom, "right") == [right]
-        assert left_adjoint_of(bottom) is None
-
-    @settings(max_examples=150, deadline=None)
-    @given(src=small_posets(), dst=small_posets(), data=st.data())
-    def test_uniqueness_and_agreement(self, src, dst, data):
-        maps = all_monotone(src, dst)
-        f = data.draw(st.sampled_from(maps))
-        for side, construct in (("left", left_adjoint_of), ("right", right_adjoint_of)):
-            got = construct(f)
-            want = adjoints_by_enumeration(f, side)
-            if got is None:
-                assert want == []
-            else:
-                assert want == [got]
-
-    def test_composition_law(self):
-        # both maps are preimages, so all adjoints exist
-        b1, b2 = boolean(1), boolean(2)
-        f = MonotoneMap(b1, b2, (0, 3))
-        g = MonotoneMap(b2, b1, (0, 1, 0, 1))
-        comp = g.compose(f)  # g after f : b1 -> b1
-        ra = right_adjoint_of(comp)
-        ra_split = right_adjoint_of(f).compose(right_adjoint_of(g))
-        assert ra is not None
-        assert ra.table == ra_split.table
-        la = left_adjoint_of(comp)
-        la_split = left_adjoint_of(f).compose(left_adjoint_of(g))
-        assert la is not None
-        assert la.table == la_split.table
-
-
 class TestReflection:
     def test_poset_fixed(self):
         p = chain(3)
-        q, proj = poset_reflect(p)
+        q, cls = poset_reflect(p)
         assert q.n == 3
-        assert proj.table == (0, 1, 2)
+        assert cls == (0, 1, 2)
 
     def test_collapse(self):
         pre = Preorder.from_pairs(["x", "y"], [("x", "y"), ("y", "x")])
-        q, proj = poset_reflect(pre)
+        q, cls = poset_reflect(pre)
         assert q.n == 1
-        assert proj.table == (0, 0)
+        assert cls == (0, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -266,12 +129,13 @@ class TestReflection:
     def test_idempotent(self, n, pairs):
         pairs = [(a % n, b % n) for a, b in pairs]
         pre = Preorder.from_pairs(list(range(n)), pairs)
-        q1, proj = poset_reflect(pre)
-        q2, proj2 = poset_reflect(q1)
+        q1, cls = poset_reflect(pre)
+        q2, cls2 = poset_reflect(q1)
         assert q2.n == q1.n
-        assert proj2.table == tuple(range(q1.n))
-        # projection is monotone and surjective by construction
-        assert set(proj.table) == set(range(q1.n))
+        assert cls2 == tuple(range(q1.n))
+        # the projection is surjective and monotone
+        assert set(cls) == set(range(q1.n))
+        assert all(q1.le(cls[i], cls[j]) for i in range(n) for j in range(n) if pre.le(i, j))
 
 
 class TestLattice:
@@ -313,6 +177,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             Poset((0, 1), (0b11, 0b11))
 
-    def test_not_monotone(self):
-        with pytest.raises(ValueError):
-            MonotoneMap(chain(2), chain(2), (1, 0))
