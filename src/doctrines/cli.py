@@ -16,6 +16,7 @@ from .completion import EX, UN, Completion, QuantElem
 from .dialectica import DialObj, bounded_dialobjs, dial_leq, dial_preorder
 from .doctrine import load_doctrine, mask_from_indices, powerset_doctrine
 from .errors import DEFAULT_BUDGET, DoctrineError, LoadError, SearchBudgetExceeded, natural
+from .fincat import load_category, read_json
 from .laws import SUITES, LawContext, run_suite, verify_doctrine
 from .poset import lattice_check, poset_reflect, to_dot
 from .principles import extract_choice, extract_counterexample, skolem_check
@@ -27,23 +28,8 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _read_json(arg: str):
-    """A file path or inline JSON text."""
-    text = arg
-    if not arg.lstrip().startswith(("{", "[")):
-        try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise LoadError(f"cannot read {arg!r}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"not valid JSON: {exc}") from None
-
-
 def _load_elem(doc, data) -> QuantElem:
-    data = _read_json(data) if isinstance(data, str) else data
+    data = read_json(data) if isinstance(data, str) else data
     try:
         polarity = data["polarity"]
         base = natural(data["base"], "base")
@@ -60,7 +46,7 @@ def _elem_json(doc, x: QuantElem) -> dict:
 
 
 def _load_dial(doc, data) -> DialObj:
-    data = _read_json(data) if isinstance(data, str) else data
+    data = read_json(data) if isinstance(data, str) else data
     try:
         src, tgt = natural(data["src"], "src"), natural(data["tgt"], "tgt")
         return DialObj(src, tgt, doc.pred_from_json(doc.cat.product(src, tgt), data.get("pred", [])))
@@ -176,10 +162,8 @@ def _dispatch(args) -> int:
     if args.command == "check-doctrine":
         cat = None
         if args.category:
-            from .fincat import load_category
-
             cat = load_category(args.category)
-        tab = load_doctrine(_read_json(args.file), cat=cat, verify=False)
+        tab = load_doctrine(args.file, cat=cat, verify=False)
         report = verify_doctrine(tab, max_card=args.max_card, budget=budget)
         _emit(args, report.to_dict(), report.render())
         return EXIT_OK if report.ok else EXIT_LAW_FAIL
@@ -306,7 +290,7 @@ def _dispatch(args) -> int:
     if args.command == "skolem":
         comp = Completion(doc, EX, budget)
         carrier = args.a1 * args.a2 * args.b
-        alpha = mask_from_indices(_read_json(args.pred), carrier)
+        alpha = mask_from_indices(read_json(args.pred), carrier)
         rep = skolem_check(comp, args.a1, args.a2, args.b, alpha)
         payload = {
             "equal": rep.equal,

@@ -30,7 +30,7 @@ cardinality at most k, which is what every exhaustive law check runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .doctrine import (
     CAP_EX_PR,
@@ -57,10 +57,9 @@ EX = "EX"
 UN = "UN"
 
 
-@dataclass(frozen=True)
-class QuantElem:
+class QuantElem(NamedTuple):
     """A completion element: quantified object `qobj` and a base predicate
-    over base x qobj."""
+    over base x qobj.  Immutable; compared and hashed as its field tuple."""
 
     polarity: str
     base: object
@@ -71,8 +70,7 @@ class QuantElem:
         return f"QuantElem({self.polarity}, base={self.base!r}, qobj={self.qobj!r}, pred={self.pred!r})"
 
 
-@dataclass(frozen=True)
-class WitnessArrow:
+class WitnessArrow(NamedTuple):
     """A certificate for a positive order decision.
 
     EX direction reads `f: A x B -> C`, UN direction `g: A x C -> B`;

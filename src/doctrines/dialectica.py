@@ -21,7 +21,7 @@ exponential B^A2, reading `exists b. alpha(a1, a2, b)` as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .completion import EX, UN, Completion, QuantElem, decide, forall_proj
 from .doctrine import CAP_UN_PR, Doctrine
@@ -73,10 +73,10 @@ def forall_pr_exp(comp: Completion, split, x: QuantElem) -> QuantElem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DialObj:
+class DialObj(NamedTuple):
     """A dialectica object: forward carrier, backward carrier, and a
-    predicate over their product."""
+    predicate over their product.  Immutable; compared and hashed as its
+    field tuple."""
 
     src: object
     tgt: object

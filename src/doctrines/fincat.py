@@ -24,16 +24,20 @@ reductions behind ``exists_proj``/``forall_proj`` and the evaluation
 expansion behind ``forall_pr_exp``) are built once per category instance,
 on first request, and then shared: every later request for the same maps
 between the same objects returns the same immutable value.  The memo lives
-on the category, so a fresh category starts empty.  Maps that depend on
-arrows (``pair``, ``compose``, ``product_map``, ...) are rebuilt on every
-call.
+on the category, so a fresh category starts empty.
+
+Maps that depend on arrows are built on every call.  On :class:`SkelFinSet`
+``compose``, ``pair``, ``copair`` and ``product_map`` are each one pass of
+table arithmetic; ``f x g`` is the row-major table ``f(a)*|B'| + g(b)``.
+:class:`TableCat` finds ``pair`` and ``copair`` by mediating-arrow search
+and builds ``product_map`` from them as ``<f . pr1, g . pr2>``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CapabilityError,
@@ -46,9 +50,9 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Arrow:
-    """A set map between finite carriers: ``table[x]`` is the image of x."""
+class Arrow(NamedTuple):
+    """A set map between finite carriers: ``table[x]`` is the image of x.
+    Immutable; compared and hashed as the tuple ``(dom, cod, table)``."""
 
     dom: object
     cod: object
@@ -262,7 +266,11 @@ class SkelFinSet:
 
 
 def product_map(cat, f: Arrow, g: Arrow) -> Arrow:
-    """f x g: A x B -> A' x B'."""
+    """f x g: A x B -> A' x B'; one row-major table on finite sets."""
+    if isinstance(cat, SkelFinSet):
+        b2 = g.cod
+        table = tuple([fa * b2 + gb for fa in f.table for gb in g.table])
+        return Arrow(f.dom * g.dom, f.cod * b2, table)
     p1 = cat.proj1(f.dom, g.dom)
     p2 = cat.proj2(f.dom, g.dom)
     return cat.pair(cat.compose(f, p1), cat.compose(g, p2))
@@ -571,20 +579,24 @@ def load_category(source) -> TableCat:
     return cat
 
 
-def _as_dict(source):
-    data = source
-    if isinstance(source, str):
-        text = source
-        if not source.lstrip().startswith("{"):
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise LoadError(f"cannot read {source!r}: {exc}") from None
+def read_json(source: str):
+    """Parse `source` as JSON text when it starts with ``{`` or ``[``, else
+    as the contents of the file it names; LoadError if it cannot."""
+    text = source
+    if not source.lstrip().startswith(("{", "[")):
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"not valid JSON: {exc}") from None
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise LoadError(f"cannot read {source!r}: {exc}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"not valid JSON: {exc}") from None
+
+
+def _as_dict(source):
+    data = read_json(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
         raise LoadError(f"expected a JSON object, got {type(data).__name__}")
     return data

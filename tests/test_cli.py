@@ -263,6 +263,17 @@ class TestCheckDoctrine:
         code, _, err = run(capsys, "leq", "no-such-file.json", "also-missing.json")
         assert code == 3
 
+    def test_doctrine_and_category_read_alike(self, capsys):
+        """The doctrine argument and --category go through one reader of
+        "file path or inline JSON", so the same text fails the same way."""
+        for text, diagnostic in (("[1]", "expected a JSON object, got list"),
+                                 ("no-such-file.json", "cannot read 'no-such-file.json'")):
+            as_doctrine = run(capsys, "check-doctrine", text)
+            as_category = run(capsys, "check-doctrine", '{"fibers": {}}', "--category", text)
+            assert as_doctrine[0] == as_category[0] == 3
+            assert as_doctrine[2] == as_category[2]
+            assert as_doctrine[2].startswith("input error") and diagnostic in as_doctrine[2]
+
 
 class TestUsage:
     """Command lines the parser rejects are bad input: exit code 3."""

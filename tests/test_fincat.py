@@ -14,6 +14,7 @@ from doctrines.fincat import (
     load_category,
     nth_proj,
     prod_obj,
+    product_map,
     reassoc_left,
     skel_category_json,
 )
@@ -77,6 +78,30 @@ class TestProducts:
                         assert compose(C.proj1(a, b), p) == f
                         assert compose(C.proj2(a, b), p) == g
 
+    def test_product_map_is_the_pairing_of_composites(self):
+        # the one-table f x g against its generic construction
+        # <f . pr1, g . pr2>, for all arrows between carriers 0..3
+        arrows = [f for a in range(4) for b in range(4) for f in C.iter_hom(a, b)]
+        for f in arrows:
+            for g in arrows:
+                generic = C.pair(compose(f, C.proj1(f.dom, g.dom)), compose(g, C.proj2(f.dom, g.dom)))
+                assert product_map(C, f, g) == generic, (f, g)
+
+    def test_product_map_on_a_table_category(self):
+        # a TableCat builds f x g from its declared pairing; the tables are
+        # the skeleton's wherever the products are declared (|A x B| <= 2)
+        cat = load_category(skel_category_json(2))
+        card = {f"n{c}": c for c in range(3)}
+        for a, b, a2, b2 in itertools.product(card, repeat=4):
+            if card[a] * card[b] > 2 or card[a2] * card[b2] > 2:
+                continue
+            for f in cat.hom(a, a2):
+                for g in cat.hom(b, b2):
+                    m = product_map(cat, f, g)
+                    assert m in cat.hom(cat.product(a, b), cat.product(a2, b2))
+                    skel = product_map(C, Arrow(card[a], card[a2], f.table), Arrow(card[b], card[b2], g.table))
+                    assert m.table == skel.table
+
     def test_reassoc_identity_tables(self):
         # left-associated row-major flattening makes this an identity
         assert reassoc_left(C, 2, 3, 2).table == tuple(range(12))
@@ -135,8 +160,6 @@ class TestTheta:
 
     def test_naturality(self):
         # theta . ((f x 1) + (f x 1)) == (f x 1) . theta
-        from doctrines.fincat import product_map
-
         b, c = 2, 1
         for d in range(3):
             for a in range(3):
@@ -155,8 +178,6 @@ class TestExponentials:
     def test_ev_agrees_with_transpose(self):
         # the transpose of f: X x A -> B is the point of B^A ranked by the
         # value tuple (f(x, 0), .., f(x, a-1)), position 0 most significant
-        from doctrines.fincat import product_map
-
         x, a, b = 2, 2, 2
         ev = C.ev(b, a)
         swap = C.pair(C.proj2(a, x), C.proj1(a, x))

@@ -1,7 +1,8 @@
 """Every global name a library module loads is defined there or in
 builtins: an undefined-name check that needs only the standard library.
 The top-level package exports exactly what its callers outside the
-package take from it."""
+package take from it, and every library name the benchmark's tracer
+wraps exists."""
 
 import ast
 import builtins
@@ -63,3 +64,19 @@ def test_all_is_what_callers_use():
     assert len(doctrines.__all__) == len(set(doctrines.__all__))
     assert set(doctrines.__all__) == used
     assert all(hasattr(doctrines, name) for name in used)
+
+
+def test_traced_names_exist():
+    """Each (module, class, attribute) in ``perfbench/spans.py``'s SPANS is
+    where the tracer looks it up: a name of the module, or an attribute
+    defined on the class itself."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    missing = []
+    for mod_name, owner, attr in spans:
+        module = importlib.import_module(f"doctrines.{mod_name}")
+        where = vars(module) if owner is None else vars(getattr(module, owner, object))
+        if attr not in where:
+            missing.append((mod_name, owner, attr))
+    assert spans and missing == []
