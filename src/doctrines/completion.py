@@ -39,6 +39,7 @@ from .doctrine import (
     CAP_LAT,
     CAP_UN_PR,
     Doctrine,
+    op_doctrine,
 )
 from .errors import CapabilityError, WitnessValidationError
 from .fincat import (
@@ -337,17 +338,15 @@ class Completion(Doctrine):
 
     # -- bounded materialization ----------------------------------------------
 
-    def bounded_fiber(self, a, qmax: int, preds=None, qobjs=None) -> list:
+    def bounded_fiber(self, a, qmax: int, preds=None) -> list:
         """Every element over `a` with quantified-object cardinality at most
         qmax, in deterministic (qobj, predicate) order."""
-        if qobjs is None:
-            if not isinstance(self.cat, SkelFinSet):
-                raise CapabilityError("bounded fibers need explicit qobjs outside the finite-sets base")
-            qobjs = range(qmax + 1)
+        if not isinstance(self.cat, SkelFinSet):
+            raise CapabilityError("bounded fibers need the finite-sets base, whose objects are cardinalities")
         if preds is None:
             preds = self.base.fiber_elements
         out = []
-        for q in qobjs:
+        for q in range(qmax + 1):
             for p in preds(self.cat.product(a, q)):
                 out.append(self.elem(a, q, p))
         return out
@@ -405,8 +404,6 @@ def duality_transport(x: QuantElem) -> QuantElem:
 
 def dual_completion(comp: Completion) -> Completion:
     """The partner completion over the order-reversed base."""
-    from .doctrine import op_doctrine
-
     return Completion(op_doctrine(comp.base), EX if comp.polarity == UN else UN, comp.budget)
 
 

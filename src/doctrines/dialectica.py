@@ -27,6 +27,7 @@ from .completion import EX, UN, Completion, QuantElem, decide, forall_proj
 from .doctrine import CAP_UN_PR, Doctrine
 from .errors import CapabilityError, SearchBudgetExceeded, resolve_budget
 from .fincat import Arrow, _canonical, compose, nth_proj, product_map, prod_obj, tuple_arrow
+from .poset import Preorder
 
 
 @_canonical
@@ -193,6 +194,4 @@ def bounded_dialobjs(doc: Doctrine, max_card: int) -> list:
 def dial_preorder(doc: Doctrine, objs, budget=None):
     """The dialectica order on the given objects as an explicit Preorder,
     built from its classes by ``Preorder.from_le`` (at most 2·n·k decisions)."""
-    from .poset import Preorder
-
     return Preorder.from_le(list(objs), lambda u, v: dial_leq(doc, u, v, budget) is not None)

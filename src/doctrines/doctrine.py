@@ -147,20 +147,23 @@ def indices_from_mask(mask: int) -> list:
     return out
 
 
-class PowersetDoctrine(Doctrine):
-    """Subsets of finite carriers; reindexing is preimage.
+# the largest fiber `PowersetDoctrine.fiber_elements` enumerates
+FIBER_ENUM_CAP = 2**20
 
-    Direct and universal images exist along every arrow, so all capability
-    flags hold, strictly more than the projection/injection classes the
-    completion layer needs.
+
+class PowersetDoctrine(Doctrine):
+    """Subsets of finite sets, over the skeleton :class:`SkelFinSet`; a
+    predicate over n is an n-bit mask and reindexing is preimage.
+
+    An object is its cardinality, so the kernel hooks hand objects to
+    :mod:`core` as carrier sizes, and the kernels' bit layout is the
+    skeleton's row-major products.  Direct and universal images exist
+    along every arrow, so all capability flags hold, strictly more than
+    the projection/injection classes the completion layer needs.
     """
 
-    def __init__(self, cat: SkelFinSet | None = None, enum_cap: int = 2**20):
-        super().__init__(cat or SkelFinSet(), ALL_CAPS)
-        self.enum_cap = enum_cap
-
-    def carrier(self, a) -> int:
-        return self.cat.card(a)
+    def __init__(self):
+        super().__init__(SkelFinSet(), ALL_CAPS)
 
     def fiber_leq(self, a, p, q) -> bool:
         return p & ~q == 0
@@ -169,10 +172,9 @@ class PowersetDoctrine(Doctrine):
         return p == q
 
     def fiber_elements(self, a):
-        n = self.carrier(a)
-        if 2**n > self.enum_cap:
-            raise SearchBudgetExceeded(2**n, self.enum_cap, f"fiber over {a!r}")
-        return range(2**n)
+        if 2**a > FIBER_ENUM_CAP:
+            raise SearchBudgetExceeded(2**a, FIBER_ENUM_CAP, f"fiber over {a!r}")
+        return range(2**a)
 
     def reindex(self, f: Arrow, p):
         out = 0
@@ -182,7 +184,7 @@ class PowersetDoctrine(Doctrine):
         return out
 
     def top(self, a):
-        return (1 << self.carrier(a)) - 1
+        return (1 << a) - 1
 
     def bottom(self, a):
         return 0
@@ -201,7 +203,7 @@ class PowersetDoctrine(Doctrine):
         return out
 
     def forall_along(self, f: Arrow, p):
-        out = (1 << self.carrier(f.cod)) - 1
+        out = (1 << f.cod) - 1
         for i, v in enumerate(f.table):
             if not (p >> i) & 1:
                 out &= ~(1 << v)
@@ -220,21 +222,19 @@ class PowersetDoctrine(Doctrine):
         return self.forall_along(self.cat.inj1(*split), p)
 
     def ex_witness(self, a, b, c, alpha, beta):
-        return core.ex_witness(self.carrier(a), self.carrier(b), self.carrier(c), alpha, beta)
+        return core.ex_witness(a, b, c, alpha, beta)
 
     def un_witness(self, a, b, c, alpha, beta):
-        return core.un_witness(self.carrier(a), self.carrier(b), self.carrier(c), alpha, beta)
+        return core.un_witness(a, b, c, alpha, beta)
 
     def dial_witness(self, b, c, b2, c2, alpha, beta):
-        return core.dial_witness(
-            self.carrier(b), self.carrier(c), self.carrier(b2), self.carrier(c2), alpha, beta
-        )
+        return core.dial_witness(b, c, b2, c2, alpha, beta)
 
     def pred_to_json(self, a, p):
         return indices_from_mask(p)
 
     def pred_from_json(self, a, data):
-        return mask_from_indices(data, self.carrier(a))
+        return mask_from_indices(data, a)
 
 
 def powerset_doctrine() -> PowersetDoctrine:

@@ -57,14 +57,6 @@ class WitnessValidationError(DoctrineError):
     """
 
 
-class NoMediatingArrow(DoctrineError):
-    """A declared universal property admits no mediating arrow."""
-
-
-class NonUniqueMediatingArrow(DoctrineError):
-    """A declared universal property admits more than one mediating arrow."""
-
-
 class LoadError(DoctrineError):
     """An input file failed validation; `law` names the violated invariant."""
 

@@ -18,19 +18,23 @@ reassociation ``(A x B) x C ~ A x (B x C)`` and the unit isomorphisms
 construct them as explicit arrows so code stays correct over any base.
 
 Canonical structure maps (identities, projections, injections, ``bang``,
-evaluation, the distributivity isos, the generic ``nth_proj`` and
-``reassoc_left``, and, registered from their own modules, the projection
-reductions behind ``exists_proj``/``forall_proj`` and the evaluation
-expansion behind ``forall_pr_exp``) are built once per category instance,
-on first request, and then shared: every later request for the same maps
-between the same objects returns the same immutable value.  The memo lives
-on the category, so a fresh category starts empty.
+evaluation, the generic ``nth_proj`` and ``reassoc_left``, the
+distributivity isos of finite sets, and, registered from their own
+modules, the projection reductions behind ``exists_proj``/``forall_proj``
+and the evaluation expansion behind ``forall_pr_exp``) are built once per
+category instance, on first request, and then shared: every later request
+for the same maps between the same objects returns the same immutable
+value.  The memo lives on the category, so a fresh category starts empty.
 
 Maps that depend on arrows are built on every call.  On :class:`SkelFinSet`
 ``compose``, ``pair``, ``copair`` and ``product_map`` are each one pass of
 table arithmetic; ``f x g`` is the row-major table ``f(a)*|B'| + g(b)``.
-:class:`TableCat` finds ``pair`` and ``copair`` by mediating-arrow search
-and builds ``product_map`` from them as ``<f . pr1, g . pr2>``.
+A :class:`TableCat` verifies its declared structure when it is built and
+keeps the one mediating arrow of every cone and cocone: ``pair`` and
+``copair`` look that arrow up, and ``product_map`` is built from them as
+``<f . pr1, g . pr2>``.  The distributivity isos exist on finite sets only;
+no doctrine over a :class:`TableCat` has the injection adjoints that use
+them.
 """
 
 from __future__ import annotations
@@ -39,15 +43,7 @@ import functools
 import json
 from typing import NamedTuple
 
-from .errors import (
-    CapabilityError,
-    LoadError,
-    NoMediatingArrow,
-    NonUniqueMediatingArrow,
-    SearchBudgetExceeded,
-    natural,
-    resolve_budget,
-)
+from .errors import CapabilityError, LoadError, SearchBudgetExceeded, natural, resolve_budget
 
 
 class Arrow(NamedTuple):
@@ -102,9 +98,6 @@ class SkelFinSet:
 
     def __init__(self):
         self._memo = {}  # (kind, *objects) -> Arrow, or a tuple holding one
-
-    def card(self, a) -> int:
-        return int(a)
 
     @_canonical
     def identity(self, a) -> Arrow:
@@ -186,14 +179,11 @@ class SkelFinSet:
             raise ValueError("copairing needs a common codomain")
         return Arrow(f.dom + g.dom, f.cod, f.table + g.table)
 
-    # -- terminal / initial / points ---------------------------------
+    # -- terminal ----------------------------------------------------
 
     @_canonical
     def bang(self, a) -> Arrow:
         return Arrow(a, 1, (0,) * a)
-
-    def points(self, a) -> list:
-        return [Arrow(1, a, (v,)) for v in range(a)]
 
     # -- exponentials ------------------------------------------------
 
@@ -250,7 +240,7 @@ class SkelFinSet:
 
     def invert(self, f: Arrow) -> Arrow:
         """Inverse of a bijective table."""
-        if f.dom != f.cod and self.card(f.dom) != self.card(f.cod):
+        if f.dom != f.cod:
             raise ValueError("not invertible: carrier sizes differ")
         inv = [None] * len(f.table)
         for i, v in enumerate(f.table):
@@ -338,8 +328,9 @@ class TableCat:
 
     Hom-sets are arbitrary subsets of all functions between the carriers
     (closed under composition and containing identities), so declared
-    limit/colimit structure is honest data that the loader verifies by
-    mediating-arrow enumeration.
+    limit/colimit structure is honest data.  Construction verifies it by
+    mediating-arrow enumeration and keeps the one mediating arrow of every
+    cone and cocone, which is what ``pair`` and ``copair`` return.
     """
 
     def __init__(self, cards, homs, names, structure=None):
@@ -355,6 +346,9 @@ class TableCat:
         self._coproducts = s.get("coproducts", {})
         self._exponentials = s.get("exponentials", {})  # (b,a) -> (obj, ev)
         self._points = s.get("points", {})
+        self._pairs = {}  # (f, g) -> <f, g>, one per cone of a chosen product
+        self._copairs = {}  # (f, g) -> [f, g], one per cocone of a chosen coproduct
+        _verify_structure(self)
 
     # -- interface ----------------------------------------------------
 
@@ -364,9 +358,6 @@ class TableCat:
 
     def objects(self):
         return list(self._cards)
-
-    def card(self, a) -> int:
-        return self._cards[a]
 
     @_canonical
     def identity(self, a) -> Arrow:
@@ -403,6 +394,15 @@ class TableCat:
         except KeyError:
             raise CapabilityError(f"no chosen {kind} for ({a!r},{b!r})") from None
 
+    @staticmethod
+    def _mediating(recorded, f, g):
+        """The mediating arrow of the cone or cocone (f, g), recorded when
+        the structure was verified."""
+        try:
+            return recorded[f, g]
+        except KeyError:
+            raise CapabilityError(f"{f!r} and {g!r} are not declared arrows") from None
+
     def product(self, a, b):
         return self._chosen(self._products, "product", a, b)[0]
 
@@ -413,10 +413,10 @@ class TableCat:
         return self._chosen(self._products, "product", a, b)[2]
 
     def pair(self, f: Arrow, g: Arrow) -> Arrow:
-        obj, p1, p2 = self._chosen(self._products, "product", f.cod, g.cod)
-        return self._mediate(
-            f.dom, obj, [(p1, f), (p2, g)], f"pairing into {obj!r}"
-        )
+        if f.dom != g.dom:
+            raise ValueError("pairing needs a common domain")
+        self._chosen(self._products, "product", f.cod, g.cod)
+        return self._mediating(self._pairs, f, g)
 
     def coproduct(self, a, b):
         return self._chosen(self._coproducts, "coproduct", a, b)[0]
@@ -428,68 +428,21 @@ class TableCat:
         return self._chosen(self._coproducts, "coproduct", a, b)[2]
 
     def copair(self, f: Arrow, g: Arrow) -> Arrow:
-        obj, j1, j2 = self._chosen(self._coproducts, "coproduct", f.dom, g.dom)
-        for m in self.hom(obj, f.cod):
-            if compose(m, j1) == f and compose(m, j2) == g:
-                return m
-        raise NoMediatingArrow(f"copairing out of {obj!r}")
+        if f.cod != g.cod:
+            raise ValueError("copairing needs a common codomain")
+        self._chosen(self._coproducts, "coproduct", f.dom, g.dom)
+        return self._mediating(self._copairs, f, g)
 
-    @_canonical
     def bang(self, a) -> Arrow:
         if self.terminal is None:
             raise CapabilityError("no chosen terminal object")
-        hs = self.hom(a, self.terminal)
-        if len(hs) != 1:
-            raise NoMediatingArrow(f"Hom({a!r}, terminal) is not a singleton")
-        return hs[0]
-
-    def points(self, a) -> list:
-        return list(self._points.get(a, []))
+        return self._homs[a, self.terminal][0]
 
     def exponential(self, b, a):
         return self._chosen(self._exponentials, "exponential", b, a)[0]
 
     def ev(self, b, a) -> Arrow:
         return self._chosen(self._exponentials, "exponential", b, a)[1]
-
-    @_canonical
-    def theta(self, a, b, c) -> Arrow:
-        left = self.pair(self.proj1(a, b), compose(self.inj1(b, c), self.proj2(a, b)))
-        right = self.pair(self.proj1(a, c), compose(self.inj2(b, c), self.proj2(a, c)))
-        return self.copair(left, right)
-
-    @_canonical
-    def theta_inv(self, a, b, c) -> Arrow:
-        return self.invert(self.theta(a, b, c))
-
-    @_canonical
-    def theta_left(self, a, b, d) -> Arrow:
-        left = self.pair(compose(self.inj1(a, b), self.proj1(a, d)), self.proj2(a, d))
-        right = self.pair(compose(self.inj2(a, b), self.proj1(b, d)), self.proj2(b, d))
-        return self.copair(left, right)
-
-    @_canonical
-    def theta_left_inv(self, a, b, d) -> Arrow:
-        return self.invert(self.theta_left(a, b, d))
-
-    def invert(self, f: Arrow) -> Arrow:
-        for g in self.hom(f.cod, f.dom):
-            if compose(g, f).table == identity_table(self._cards[f.dom]) and compose(
-                f, g
-            ).table == identity_table(self._cards[f.cod]):
-                return g
-        raise NoMediatingArrow(f"{f!r} has no two-sided inverse among declared arrows")
-
-    def _mediate(self, src, obj, legs, what) -> Arrow:
-        found = []
-        for m in self.hom(src, obj):
-            if all(compose(leg, m) == target for leg, target in legs):
-                found.append(m)
-        if not found:
-            raise NoMediatingArrow(what)
-        if len(found) > 1:
-            raise NonUniqueMediatingArrow(what)
-        return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +527,7 @@ def load_category(source) -> TableCat:
             )
 
     structure = _load_structure(_block(data, "structure", {}), cards, names)
-    cat = TableCat(cards, homs, names, structure)
-    _verify_structure(cat, cards)
-    return cat
+    return TableCat(cards, homs, names, structure)
 
 
 def read_json(source: str):
@@ -656,8 +607,10 @@ def _load_structure(block, cards, names):
     return s
 
 
-def _verify_structure(cat: TableCat, cards):
-    objs = list(cards)
+def _verify_structure(cat: TableCat):
+    """Check every declared universal property by enumeration, recording
+    the unique mediating arrow of each cone and cocone on `cat`."""
+    objs = cat.objects()
     if cat.terminal is not None:
         for x in objs:
             if len(cat.hom(x, cat.terminal)) != 1:
@@ -692,6 +645,7 @@ def _verify_structure(cat: TableCat, cards):
                             f"{len(ms)} mediating arrows",
                             law="product-universal-property",
                         )
+                    cat._pairs[f, g] = ms[0]
     for (a, b), (obj, j1, j2) in cat._coproducts.items():
         if j1.dom != a or j1.cod != obj or j2.dom != b or j2.cod != obj:
             raise LoadError(
@@ -712,6 +666,9 @@ def _verify_structure(cat: TableCat, cards):
                             f"{len(ms)} mediating arrows",
                             law="coproduct-universal-property",
                         )
+                    cat._copairs[f, g] = ms[0]
+    # the currying check pairs through the chosen products, so every
+    # product's mediating arrows must be recorded above before it runs
     for (b, a), (obj, evm) in cat._exponentials.items():
         if (a, obj) not in cat._products:
             raise LoadError(

@@ -243,31 +243,46 @@ def _law_adjunction_along(ctx, side):
     return checked, None
 
 
+def _pr_squares(ctx, cat):
+    """Each projection square of a Beck-Chevalley law, in law order: every
+    arrow f: D -> A with every object C, as (f, C, A x C, f x 1_C)."""
+    for f in ctx.arrows():
+        for c in ctx.objects:
+            ac = cat.product(f.cod, c)
+            yield f, c, ac, product_map(cat, f, cat.identity(c))
+
+
+def _inj_squares(ctx, cat):
+    """Each injection square of a Beck-Chevalley law, in law order: objects
+    A, B, C, D with f: C -> A and h: D -> B, as (A, B, C, D, f, h, f + h)."""
+    for a, b, c, d in itertools.product(ctx.objects, repeat=4):
+        for f in cat.iter_hom(c, a, ctx.budget):
+            for h in cat.iter_hom(d, b, ctx.budget):
+                g = cat.copair(cat.compose(cat.inj1(a, b), f), cat.compose(cat.inj2(a, b), h))
+                yield a, b, c, d, f, h, g
+
+
 def _law_bc_projections(ctx):
     """For f: D -> A and any C, quantifying along pr then substituting f
     equals substituting fx1 then quantifying along pr'."""
     doc = ctx.doctrine
-    objs = ctx.objects
     checked = 0
-    for f in ctx.arrows():
+    for f, c, ac, fx1 in _pr_squares(ctx, doc.cat):
         d, a = f.dom, f.cod
-        for c in objs:
-            ac = doc.cat.product(a, c)
-            fx1 = product_map(doc.cat, f, doc.cat.identity(c))
-            for beta in doc.fiber_elements(ac):
-                checked += 1
-                if CAP_EX_PR in doc.caps:
-                    left = doc.reindex(f, doc.exists_pr((a, c), beta))
-                    right = doc.exists_pr((d, c), doc.reindex(fx1, beta))
-                    if not doc.fiber_eq(d, left, right):
-                        return checked, {"side": "exists", "f": list(f.table), "dom": d,
-                                         "cod": a, "c": c, "beta": beta}
-                if CAP_UN_PR in doc.caps:
-                    left = doc.reindex(f, doc.forall_pr((a, c), beta))
-                    right = doc.forall_pr((d, c), doc.reindex(fx1, beta))
-                    if not doc.fiber_eq(d, left, right):
-                        return checked, {"side": "forall", "f": list(f.table), "dom": d,
-                                         "cod": a, "c": c, "beta": beta}
+        for beta in doc.fiber_elements(ac):
+            checked += 1
+            if CAP_EX_PR in doc.caps:
+                left = doc.reindex(f, doc.exists_pr((a, c), beta))
+                right = doc.exists_pr((d, c), doc.reindex(fx1, beta))
+                if not doc.fiber_eq(d, left, right):
+                    return checked, {"side": "exists", "f": list(f.table), "dom": d,
+                                     "cod": a, "c": c, "beta": beta}
+            if CAP_UN_PR in doc.caps:
+                left = doc.reindex(f, doc.forall_pr((a, c), beta))
+                right = doc.forall_pr((d, c), doc.reindex(fx1, beta))
+                if not doc.fiber_eq(d, left, right):
+                    return checked, {"side": "forall", "f": list(f.table), "dom": d,
+                                     "cod": a, "c": c, "beta": beta}
     return checked, None
 
 
@@ -276,34 +291,22 @@ def _law_bc_injections(ctx):
     over j_C, j_A commutes with the injection adjoints."""
     doc = ctx.doctrine
     cat = doc.cat
-    objs = ctx.objects
     checked = 0
-    for a in objs:
-        for b in objs:
-            for c in objs:
-                for d in objs:
-                    for f in cat.iter_hom(c, a, ctx.budget):
-                        for h in cat.iter_hom(d, b, ctx.budget):
-                            g = cat.copair(
-                                cat.compose(cat.inj1(a, b), f),
-                                cat.compose(cat.inj2(a, b), h),
-                            )
-                            for eps in doc.fiber_elements(a):
-                                checked += 1
-                                if CAP_INJ_LEFT in doc.caps:
-                                    left = doc.exists_inj((c, d), doc.reindex(f, eps))
-                                    right = doc.reindex(g, doc.exists_inj((a, b), eps))
-                                    if not doc.fiber_eq(cat.coproduct(c, d), left, right):
-                                        return checked, {"side": "exists", "f": list(f.table),
-                                                         "h": list(h.table), "a": a, "b": b,
-                                                         "c": c, "d": d, "pred": eps}
-                                if CAP_INJ_RIGHT in doc.caps:
-                                    left = doc.forall_inj((c, d), doc.reindex(f, eps))
-                                    right = doc.reindex(g, doc.forall_inj((a, b), eps))
-                                    if not doc.fiber_eq(cat.coproduct(c, d), left, right):
-                                        return checked, {"side": "forall", "f": list(f.table),
-                                                         "h": list(h.table), "a": a, "b": b,
-                                                         "c": c, "d": d, "pred": eps}
+    for a, b, c, d, f, h, g in _inj_squares(ctx, cat):
+        for eps in doc.fiber_elements(a):
+            checked += 1
+            if CAP_INJ_LEFT in doc.caps:
+                left = doc.exists_inj((c, d), doc.reindex(f, eps))
+                right = doc.reindex(g, doc.exists_inj((a, b), eps))
+                if not doc.fiber_eq(cat.coproduct(c, d), left, right):
+                    return checked, {"side": "exists", "f": list(f.table), "h": list(h.table),
+                                     "a": a, "b": b, "c": c, "d": d, "pred": eps}
+            if CAP_INJ_RIGHT in doc.caps:
+                left = doc.forall_inj((c, d), doc.reindex(f, eps))
+                right = doc.reindex(g, doc.forall_inj((a, b), eps))
+                if not doc.fiber_eq(cat.coproduct(c, d), left, right):
+                    return checked, {"side": "forall", "f": list(f.table), "h": list(h.table),
+                                     "a": a, "b": b, "c": c, "d": d, "pred": eps}
     return checked, None
 
 
@@ -497,17 +500,14 @@ def _law_bc_pr_strict(ctx, polarity, side):
     comp = ctx.completion(polarity)
     quantify = comp.exists_pr if side == "exists" else comp.forall_pr
     checked = 0
-    cat = comp.cat
-    for f in ctx.arrows():
+    for f, c, ac, fx1 in _pr_squares(ctx, comp.cat):
         d, a = f.dom, f.cod
-        for c in ctx.objects:
-            fx1 = product_map(cat, f, cat.identity(c))
-            for x in comp.bounded_fiber(cat.product(a, c), ctx.qmax):
-                checked += 1
-                left = comp.reindex(f, quantify((a, c), x))
-                right = quantify((d, c), comp.reindex(fx1, x))
-                if left != right:
-                    return checked, {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)}
+        for x in comp.bounded_fiber(ac, ctx.qmax):
+            checked += 1
+            left = comp.reindex(f, quantify((a, c), x))
+            right = quantify((d, c), comp.reindex(fx1, x))
+            if left != right:
+                return checked, {"f": list(f.table), "dom": d, "cod": a, "c": c, "x": ctx.elem_json(x)}
     return checked, None
 
 
@@ -515,30 +515,20 @@ def _law_bc_inj_strict(ctx, polarity):
     """Injection squares g = f+h commute with the injection adjoints as
     literal triples."""
     comp = ctx.completion(polarity)
-    cat = comp.cat
     checked = 0
-    for a in ctx.objects:
-        for b in ctx.objects:
-            for c in ctx.objects:
-                for d in ctx.objects:
-                    for f in cat.iter_hom(c, a, ctx.budget):
-                        for h in cat.iter_hom(d, b, ctx.budget):
-                            g = cat.copair(
-                                cat.compose(cat.inj1(a, b), f),
-                                cat.compose(cat.inj2(a, b), h),
-                            )
-                            for x in comp.bounded_fiber(a, min(ctx.qmax, 1)):
-                                checked += 1
-                                left = comp.exists_inj((c, d), comp.reindex(f, x))
-                                right = comp.reindex(g, comp.exists_inj((a, b), x))
-                                if left != right:
-                                    return checked, {"side": "exists", "f": list(f.table), "h": list(h.table),
-                                                     "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)}
-                                left = comp.forall_inj((c, d), comp.reindex(f, x))
-                                right = comp.reindex(g, comp.forall_inj((a, b), x))
-                                if left != right:
-                                    return checked, {"side": "forall", "f": list(f.table), "h": list(h.table),
-                                                     "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)}
+    for a, b, c, d, f, h, g in _inj_squares(ctx, comp.cat):
+        for x in comp.bounded_fiber(a, min(ctx.qmax, 1)):
+            checked += 1
+            left = comp.exists_inj((c, d), comp.reindex(f, x))
+            right = comp.reindex(g, comp.exists_inj((a, b), x))
+            if left != right:
+                return checked, {"side": "exists", "f": list(f.table), "h": list(h.table),
+                                 "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)}
+            left = comp.forall_inj((c, d), comp.reindex(f, x))
+            right = comp.reindex(g, comp.forall_inj((a, b), x))
+            if left != right:
+                return checked, {"side": "forall", "f": list(f.table), "h": list(h.table),
+                                 "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)}
     return checked, None
 
 

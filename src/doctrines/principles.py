@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .completion import EX, UN, Completion, QuantElem, exists_proj, forall_proj
+from .dialectica import eval_expand_arrow
 from .doctrine import CAP_LAT
 from .errors import CapabilityError, WitnessValidationError
 from .fincat import Arrow, compose, prod_obj
@@ -112,8 +113,6 @@ def skolem_check(comp: Completion, a1, a2, b, alpha) -> SkolemReport:
     if comp.polarity != EX:
         raise CapabilityError("skolem check works in the existential completion")
     cat = comp.cat
-    from .dialectica import eval_expand_arrow
-
     factors = [a1, a2, b]
     x0 = comp.unit(prod_obj(cat, factors), alpha)
     lhs_mid = exists_proj(comp, factors, (0, 1), x0)

@@ -313,6 +313,89 @@ class TestLoader:
         with pytest.raises(CapabilityError, match=rf"no chosen {kind} for \('n2','n2'\)"):
             getattr(cat, accessor)(*args)
 
+    CARD = {f"n{c}": c for c in range(3)}
+
+    @staticmethod
+    def full_structure_json():
+        """skel_category_json(2) with the skeleton's own coproducts
+        (|A| + |B| <= 2), exponentials (|A x B^A| <= 2) and points added."""
+        def name(f):
+            return f"a{f.dom}_{f.cod}_" + "_".join(map(str, f.table))
+
+        data = skel_category_json(2)
+        s = data["structure"]
+        s["coproducts"] = [{"left": f"n{a}", "right": f"n{b}", "obj": f"n{a + b}",
+                            "inj1": name(C.inj1(a, b)), "inj2": name(C.inj2(a, b))}
+                           for a in range(3) for b in range(3) if a + b <= 2]
+        s["exponentials"] = [{"base": f"n{b}", "exp": f"n{a}", "obj": f"n{b**a}", "ev": name(C.ev(b, a))}
+                             for b in range(3) for a in range(3) if a * b**a <= 2]
+        s["points"] = {f"n{c}": [name(Arrow(1, c, (v,))) for v in range(c)] for c in range(3)}
+        return data
+
+    def test_full_structure_loads(self):
+        data = self.full_structure_json()
+        assert len(data["structure"]["coproducts"]) == 6
+        assert len(data["structure"]["exponentials"]) == 8
+        cat = load_category(data)
+        assert cat.has_exponentials
+        ev = cat.ev("n2", "n1")
+        assert cat.exponential("n2", "n1") == "n2" and ev.table == C.ev(2, 1).table
+
+    def test_pair_and_copair_are_the_unique_mediating_arrows(self):
+        # the enumeration oracle: every arrow of the hom-set that makes the
+        # cone (cocone) commute; the category must answer with the only one
+        cat = load_category(self.full_structure_json())
+        cones = cocones = 0
+        for a, b, x in itertools.product(self.CARD, repeat=3):
+            if self.CARD[a] * self.CARD[b] <= 2:
+                obj, p1, p2 = cat.product(a, b), cat.proj1(a, b), cat.proj2(a, b)
+                for f in cat.hom(x, a):
+                    for g in cat.hom(x, b):
+                        found = [m for m in cat.hom(x, obj) if compose(p1, m) == f and compose(p2, m) == g]
+                        assert [cat.pair(f, g)] == found, (f, g)
+                        cones += 1
+            if self.CARD[a] + self.CARD[b] <= 2:
+                obj, j1, j2 = cat.coproduct(a, b), cat.inj1(a, b), cat.inj2(a, b)
+                for f in cat.hom(a, x):
+                    for g in cat.hom(b, x):
+                        found = [m for m in cat.hom(obj, x) if compose(m, j1) == f and compose(m, j2) == g]
+                        assert [cat.copair(f, g)] == found, (f, g)
+                        cocones += 1
+        assert cones > 0 and cocones > 0
+
+    def test_pairing_outside_the_declared_cones(self):
+        cat = load_category(self.full_structure_json())
+        with pytest.raises(ValueError, match="common domain"):
+            cat.pair(cat.identity("n1"), cat.hom("n2", "n1")[0])
+        with pytest.raises(ValueError, match="common codomain"):
+            cat.copair(cat.identity("n1"), cat.hom("n1", "n2")[0])
+        undeclared = Arrow("n1", "n1", (7,))
+        for accessor in ("pair", "copair"):
+            with pytest.raises(CapabilityError, match="not declared arrows"):
+                getattr(cat, accessor)(cat.identity("n1"), undeclared)
+
+    BROKEN_STRUCTURE = [
+        # n1 + n0 = n2: a cocone into n2 extends to n2 in two ways
+        ("coproduct-universal-property",
+         lambda s: s.update(coproducts=[{"left": "n1", "right": "n0", "obj": "n2",
+                                         "inj1": "a1_2_0", "inj2": "a0_2_"}])),
+        # ev of n2^n1 must run n1 x n2 -> n2, this one ends in n1
+        ("exponential-universal-property",
+         lambda s: s.update(exponentials=[{"base": "n2", "exp": "n1", "obj": "n2", "ev": "a2_1_0_0"}])),
+        # a point of n2 must start at the terminal n1
+        ("point-validity", lambda s: s.update(points={"n2": ["a2_2_0_1"]})),
+    ]
+
+    @pytest.mark.parametrize("law, edit", BROKEN_STRUCTURE, ids=[row[0] for row in BROKEN_STRUCTURE])
+    def test_broken_structure(self, law, edit):
+        data = skel_category_json(2)
+        edit(data["structure"])
+        with pytest.raises(LoadError) as e:
+            load_category(data)
+        assert e.value.law == law
+        if law == "coproduct-universal-property":
+            assert "cocone to 'n2' has 2 mediating arrows" in str(e.value)
+
 
 class TestCanonicalMemo:
     # each memoized constructor with the object arguments it takes, carriers 0..4

@@ -1,8 +1,8 @@
 """Every global name a library module loads is defined there or in
 builtins: an undefined-name check that needs only the standard library.
 The top-level package exports exactly what its callers outside the
-package take from it, and every library name the benchmark's tracer
-wraps exists."""
+package take from it, every library name the benchmark's tracer wraps
+exists, and every library definition has a reference somewhere."""
 
 import ast
 import builtins
@@ -80,3 +80,41 @@ def test_traced_names_exist():
         if attr not in where:
             missing.append((mod_name, owner, attr))
     assert spans and missing == []
+
+
+def referenced_names(tree, strings=False):
+    """Names and attribute names `tree` refers to; with `strings`, also its
+    string constants that are identifiers (getattr lists, the tracer's
+    SPANS)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value
+
+
+def test_every_definition_is_referenced():
+    """Each function, method and class defined in the library is referred
+    to, by name or as an attribute, in the library, the tests, the
+    benchmark or the README's python blocks.  Special methods are called by
+    Python itself and are exempt."""
+    library = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "src" / "doctrines").glob("*.py")}
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used = set()
+    for tree in library.values():
+        used.update(referenced_names(tree))
+    for path in others:
+        used.update(referenced_names(ast.parse(path.read_text(encoding="utf-8")), strings=True))
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        used.update(referenced_names(ast.parse(block)))
+    unreferenced = []
+    for name, tree in sorted(library.items()):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                unreferenced.append(f"{name}:{node.lineno} {node.name}")
+    assert unreferenced == []
