@@ -359,9 +359,16 @@ class TableCat:
     def objects(self):
         return list(self._cards)
 
+    def _card(self, a) -> int:
+        """The cardinality of a declared object."""
+        try:
+            return self._cards[a]
+        except KeyError:
+            raise CapabilityError(f"{a!r} is not a declared object") from None
+
     @_canonical
     def identity(self, a) -> Arrow:
-        return Arrow(a, a, identity_table(self._cards[a]))
+        return Arrow(a, a, identity_table(self._card(a)))
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         h = compose(g, f)
@@ -436,6 +443,7 @@ class TableCat:
     def bang(self, a) -> Arrow:
         if self.terminal is None:
             raise CapabilityError("no chosen terminal object")
+        self._card(a)
         return self._homs[a, self.terminal][0]
 
     def exponential(self, b, a):

@@ -313,6 +313,13 @@ class TestLoader:
         with pytest.raises(CapabilityError, match=rf"no chosen {kind} for \('n2','n2'\)"):
             getattr(cat, accessor)(*args)
 
+    @pytest.mark.parametrize("accessor", ["identity", "bang"])
+    def test_undeclared_object(self, accessor):
+        cat = load_category(skel_category_json(2))
+        with pytest.raises(CapabilityError, match="'n9' is not a declared object"):
+            getattr(cat, accessor)("n9")
+        assert ("identity", "n9") not in cat._memo
+
     CARD = {f"n{c}": c for c in range(3)}
 
     @staticmethod

@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from doctrines.completion import EX, UN, Completion
-from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
+from doctrines.doctrine import PowersetDoctrine, op_doctrine, powerset_doctrine
 from doctrines.errors import SearchBudgetExceeded
-from doctrines.laws import SUITES, LawContext, run_laws, run_suite, verify_doctrine
+from doctrines.laws import SUITES, LawContext, _Order, run_laws, run_suite, verify_doctrine
 from doctrines.report import FAIL, PASS, SKIPPED
 
 
@@ -157,7 +157,8 @@ class TestFiberOrder:
     # every fiber a law materializes at max_card=2 lies over 0..4
     # (products and coproducts of objects up to 2)
     FIBER_BASES = range(5)
-    # the laws that decide through ctx.le; the others call leq directly
+    # the laws that decide through the context's order memo; the others
+    # need the witness arrow and call leq directly
     ROUTED = (
         "completion-leq-reflexive-ex", "completion-leq-reflexive-un",
         "completion-leq-transitive-ex", "completion-leq-transitive-un",
@@ -167,15 +168,20 @@ class TestFiberOrder:
         "completion-bounds-ex", "completion-bounds-un",
         "completion-meet-universal-ex", "completion-meet-universal-un",
         "completion-join-universal-ex", "completion-join-universal-un",
+        "completion-reindex-lattice-ex", "completion-reindex-lattice-un",
+        "duality-order-matrix",
+        "monad-unit-laws-ex", "monad-unit-laws-un", "monad-prenex", "monad-unit-forall-commute",
+        "dialectica-order-equivalence", "dialectica-lattice", "composite-structure",
     )
 
     def test_decision_count_guard(self, full_run):
-        # measured with the shared fiber order; the run without it made
-        # 231,396 calls, so a law that bypasses ctx.le shows up here
+        # measured with the order memo; with the memo over materialized
+        # fibers only the run made 104,457 calls, and without any sharing
+        # 231,396, so a law that bypasses the memo shows up here
         _, rep, total = full_run
         assert rep.ok
         assert sum(r.checked for r in rep.results) == 107_278
-        assert total <= 104_457
+        assert total <= 68_184
 
     def test_le_agrees_with_leq_on_every_fiber(self, full_run):
         ctx = full_run[0]
@@ -184,36 +190,79 @@ class TestFiberOrder:
             for a in self.FIBER_BASES:
                 elems = ctx.fiber(polarity, a)
                 assert elems == fresh.bounded_fiber(a, ctx.qmax)
+                order = ctx.order(polarity, a)
+                assert order.items[:len(elems)] == elems
                 for x in elems:
                     for y in elems:
                         assert ctx.le(x, y) == (fresh.leq(x, y) is not None), (x, y)
+                # every other pair a law asked, meets and quantifier images
+                # included, holds the answer leq gives
+                n = len(elems)
+                for i, x in enumerate(order.items):
+                    for j in range(0 if i >= n else n, len(order.items)):
+                        if order.known[i] >> j & 1:
+                            assert order.le(i, j) == (fresh.leq(x, order.items[j]) is not None)
 
-    def test_in_fiber_pairs_decided_at_most_once(self):
-        ctx = counting_ctx(max_card=2, qmax=1)
+    def test_routed_pairs_decided_at_most_once(self, monkeypatch):
+        calls = Counter()
+        leq = Completion.leq
+
+        def counted(self, x, y):
+            calls[self, x, y] += 1
+            return leq(self, x, y)
+
+        monkeypatch.setattr(Completion, "leq", counted)
+        ctx = LawContext(max_card=2, qmax=1)
         assert all(r.status == PASS for r in run_laws(ctx, self.ROUTED))
-        for polarity in (EX, UN):
-            calls = ctx.completion(polarity).calls
-            fibers = [set(ctx.fiber(polarity, a)) for a in self.FIBER_BASES]
-            for (x, y), n in calls.items():
-                if any(x in f and y in f for f in fibers):
-                    assert n == 1, (x, y, n)
-            # pairs outside the fibers, such as meets whose quantified
-            # object is above qmax, are asked again
-            assert max(calls.values()) > 1
+        memos = {comp for comp, _ in ctx._orders}
+        # the two completions of the context, the dual of duality-order-matrix
+        # and the nested ones of the dialectica laws
+        assert len(memos) == 6
+        asked = {key: n for key, n in calls.items() if key[0] in memos}
+        assert asked and max(asked.values()) == 1
+        # among them meets whose quantified object is above qmax
+        assert any(x.qobj > ctx.qmax or y.qobj > ctx.qmax for _, x, y in asked)
 
-    def test_pairs_outside_built_fibers_reach_leq(self):
+    def test_pairs_outside_built_fibers_decided_once(self):
         ctx = counting_ctx(max_card=2, qmax=1)
+        P = ctx.doctrine
         comp = ctx.comp_ex
+        fresh = Completion(P, EX)
         inside = ctx.fiber(EX, 1)
-        unbuilt = comp.bounded_fiber(2, 1)  # no law asked for this fiber
+        unbuilt = fresh.bounded_fiber(2, 1)  # no law asked for this fiber
         beyond = comp.elem(1, 2, 0b10)  # quantified object above qmax
         for x, y in ((unbuilt[1], unbuilt[2]), (inside[1], beyond), (beyond, inside[2])):
             for _ in range(3):
-                assert ctx.le(x, y) == (comp.leq(x, y) is not None)
-            assert comp.calls[x, y] == 6
-        x, y = inside[1], inside[2]
-        assert [ctx.le(x, y) for _ in range(3)] == [comp.leq(x, y) is not None] * 3
-        assert comp.calls[x, y] == 2
+                assert ctx.le(x, y) == (fresh.leq(x, y) is not None)
+            assert comp.calls[x, y] == 1
+        # a completion other than the context's own: a dual and a nested one
+        dual = CountingCompletion(op_doctrine(P), EX)
+        nested = CountingCompletion(Completion(P, UN), EX)
+        fibers = {
+            dual: dual.bounded_fiber(1, 1),
+            nested: nested.bounded_fiber(1, 1, preds=lambda ob: nested.base.bounded_fiber(ob, 1))[:4],
+        }
+        for other, elems in fibers.items():
+            oracle = Completion(other.base, other.polarity)
+            for x in elems:
+                for y in elems:
+                    for _ in range(2):
+                        assert ctx.le(x, y, other) == (oracle.leq(x, y) is not None)
+                        assert ctx.eq(x, y, other) == oracle.fiber_eq(1, x, y)
+            assert len(other.calls) == len(elems) ** 2 and max(other.calls.values()) == 1
+
+    def test_fiber_built_after_questions_keeps_their_answers(self):
+        ctx = counting_ctx(max_card=1, qmax=1)
+        comp = ctx.comp_ex
+        x, y = Completion(ctx.doctrine, EX).bounded_fiber(1, 1)[1:3]
+        beyond = comp.elem(1, 2, 0b10)
+        answers = [ctx.le(x, y), ctx.le(beyond, x)]
+        order = ctx.order(EX, 1)
+        elems = order.fiber
+        assert order.items[:len(elems)] == elems == comp.bounded_fiber(1, 1)
+        assert [order.le(order.slot(x), order.slot(y)), order.le(order.slot(beyond), order.slot(x))] == answers
+        assert comp.calls[x, y] == comp.calls[beyond, x] == 1
+        assert ctx.fiber(EX, 1) is elems and ctx.order(EX, 1) is order
 
     def test_raising_decision_leaves_no_entry(self):
         class Refusing(CountingCompletion):
@@ -245,19 +294,55 @@ class TestFiberOrder:
         assert one.fiber(EX, 1) == two.fiber(EX, 1)
         assert one.fiber(EX, 1) is not two.fiber(EX, 1)
         x, y = one.fiber(EX, 1)[:2]
-        one.le(x, y)
-        one.le(x, y)
-        two.le(x, y)
-        assert comp.calls[x, y] == 2
+        beyond = comp.elem(1, 2, 0b10)
+        for a, b in ((x, y), (x, beyond)):
+            one.le(a, b)
+            one.le(a, b)
+            two.le(a, b)
+            assert comp.calls[a, b] == 2
 
-    def test_swapped_completion_reads_no_other_answers(self):
-        # the order is keyed on the completion object: the swapped-in
-        # completion has no fiber built yet, so it decides every time and
-        # never reads the answers of the one it replaced
-        ctx = counting_ctx(max_card=1, qmax=1)
-        x, y = ctx.fiber(EX, 1)[:2]
-        ctx.le(x, y)
-        ctx.comp_ex = CountingCompletion(ctx.doctrine, EX)
-        ctx.le(x, y)
-        ctx.le(x, y)
-        assert ctx.comp_ex.calls[x, y] == 2
+    def test_swapped_completion_decides_each_pair_once(self):
+        # the memo is keyed on the completion object: a swapped-in
+        # completion decides each pair itself, once, and never reads the
+        # answers of the one it replaced
+        class Denying(CountingCompletion):
+            def leq(self, x, y):
+                super().leq(x, y)
+                return None
+
+        P = powerset_doctrine()
+        ctx = LawContext(P, max_card=1, qmax=1, comp_ex=Denying(P, EX))
+        x = ctx.fiber(EX, 1)[1]
+        assert not ctx.le(x, x)
+        old = ctx.comp_ex
+        ctx.comp_ex = CountingCompletion(P, EX)
+        assert ctx.le(x, x) and ctx.le(x, x) and ctx.eq(x, x)
+        order = ctx.order(EX, 1)
+        k = order.slot(x)
+        assert order.comp is ctx.comp_ex and order.le(k, k)
+        assert ctx.comp_ex.calls[x, x] == 1
+        assert old.calls[x, x] == 1
+
+
+class StubbornNo(PowersetDoctrine):
+    """The powerset doctrine whose EX kernel says "no" on one fixed input,
+    every time it is asked."""
+
+    def ex_witness(self, a, b, c, alpha, beta):
+        if (a, b, c, alpha, beta) == (1, 1, 1, 1, 1):
+            return None
+        return super().ex_witness(a, b, c, alpha, beta)
+
+
+class TestMemoOracle:
+    @pytest.mark.parametrize("doctrine", [PowersetDoctrine, StubbornNo])
+    def test_memo_changes_no_outcome(self, doctrine, monkeypatch):
+        # the same whole report as deciding every pair afresh
+        def report():
+            return run_suite("all", small_ctx(doctrine=doctrine())).to_dict(with_timing=False)
+
+        memoized = report()
+        monkeypatch.setattr(_Order, "le", lambda self, i, j: self.comp.leq(self.items[i], self.items[j]) is not None)
+        assert report() == memoized
+        failed = [r["law"] for r in memoized["results"] if r["status"] == FAIL]
+        assert (doctrine is StubbornNo) == bool(failed)
