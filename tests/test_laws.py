@@ -34,15 +34,19 @@ class TestSuitesPass:
             run_suite("nonsense")
 
 
+class Swapped(PowersetDoctrine):
+    """The powerset doctrine with its two adjoints along arrows exchanged,
+    and so also those along projections and injections."""
+
+    def exists_along(self, f, p):
+        return PowersetDoctrine.forall_along(self, f, p)
+
+    def forall_along(self, f, p):
+        return PowersetDoctrine.exists_along(self, f, p)
+
+
 class TestNegativeControls:
     def test_swapped_adjoints_fail_adjunction_suite(self):
-        class Swapped(PowersetDoctrine):
-            def exists_along(self, f, p):
-                return PowersetDoctrine.forall_along(self, f, p)
-
-            def forall_along(self, f, p):
-                return PowersetDoctrine.exists_along(self, f, p)
-
         rep = run_suite("adjunctions", small_ctx(doctrine=Swapped()))
         assert not rep.ok
         fail = rep.failed[0]
@@ -346,3 +350,114 @@ class TestMemoOracle:
         assert report() == memoized
         failed = [r["law"] for r in memoized["results"] if r["status"] == FAIL]
         assert (doctrine is StubbornNo) == bool(failed)
+
+
+class WrongMeet(PowersetDoctrine):
+    """The powerset doctrine with one wrong meet, over 2."""
+
+    def meet(self, a, p, q):
+        good = PowersetDoctrine.meet(self, a, p, q)
+        return good ^ 1 if (a, p, q) == (2, 3, 2) else good
+
+
+class WrongExistsInj(PowersetDoctrine):
+    """The powerset doctrine with one wrong left adjoint along inj1: 2 -> 2 + 1."""
+
+    def exists_inj(self, split, p):
+        good = PowersetDoctrine.exists_inj(self, split, p)
+        return good ^ 1 if (tuple(split), p) == ((2, 1), 2) else good
+
+
+class WrongForallInj(PowersetDoctrine):
+    """The powerset doctrine with one wrong right adjoint along inj1: 2 -> 2 + 2."""
+
+    def forall_inj(self, split, p):
+        good = PowersetDoctrine.forall_inj(self, split, p)
+        return good ^ 1 if (tuple(split), p) == ((2, 2), 1) else good
+
+
+def ex(base, qobj, pred):
+    return {"polarity": EX, "base": base, "qobj": qobj, "pred": pred}
+
+
+def un(base, qobj, pred):
+    return {"polarity": UN, "base": base, "qobj": qobj, "pred": pred}
+
+
+def dial(src, tgt, pred):
+    return {"src": src, "tgt": tgt, "pred": pred}
+
+
+# law -> (checked, counterexample) of every failing law, per sabotage
+FAILURES = {
+    WrongMeet: {
+        "completion-meet-universal-ex": (224, {"kind": "bound", "x": ex(2, 1, [0, 1]), "y": ex(2, 1, [1])}),
+        "completion-meet-universal-un": (84, {"kind": "bound", "x": un(2, 0, []), "y": un(2, 1, [1])}),
+        "completion-reindex-lattice-ex": (152, {"f": [0], "op": "meet", "x": ex(2, 1, [0, 1]), "y": ex(2, 1, [1])}),
+        "completion-reindex-lattice-un": (112, {"f": [0], "op": "meet", "x": un(2, 0, []), "y": un(2, 1, [1])}),
+        "composite-structure": (721, {"op": "meet", "a": 2}),
+        "dialectica-lattice": (1068, {"op": "meet", "u": dial(1, 0, []), "v": dial(1, 2, [1])}),
+        "lat-fibers": (41, {"object": 2, "p": 3, "q": 2, "op": "meet"}),
+        "reindex-preserves-lattice": (44, {"f": [0], "op": "meet", "p": 3, "q": 2}),
+    },
+    WrongExistsInj: {
+        "beck-chevalley-injections": (
+            120, {"side": "exists", "f": [0], "h": [], "a": 2, "b": 1, "c": 1, "d": 0, "pred": 2}),
+        "completion-bc-inj-strict-ex": (
+            175, {"side": "exists", "f": [0], "h": [], "a": 2, "b": 1, "c": 1, "d": 0, "x": ex(2, 1, [1])}),
+        "completion-bc-inj-strict-un": (
+            175, {"side": "exists", "f": [0], "h": [], "a": 2, "b": 1, "c": 1, "d": 0, "x": un(2, 1, [1])}),
+        "completion-inj-adjunction-ex": (107, {"side": "exists", "a": 2, "b": 1, "x": ex(2, 1, [1]),
+                                               "y": ex(3, 1, [1]), "lhs": False, "rhs": True}),
+        "completion-inj-adjunction-un": (107, {"side": "exists", "a": 2, "b": 1, "x": un(2, 1, [1]),
+                                               "y": un(3, 1, [1]), "lhs": False, "rhs": True}),
+        "composite-structure": (360, {"op": "exists_inj", "a": 2, "b": 1}),
+    },
+    WrongForallInj: {
+        "beck-chevalley-injections": (
+            179, {"side": "forall", "f": [0, 1], "h": [0, 0], "a": 2, "b": 1, "c": 2, "d": 2, "pred": 1}),
+        "completion-bc-inj-strict-ex": (
+            249, {"side": "forall", "f": [0, 1], "h": [0, 0], "a": 2, "b": 1, "c": 2, "d": 2, "x": ex(2, 1, [0])}),
+        "completion-bc-inj-strict-un": (
+            249, {"side": "forall", "f": [0, 1], "h": [0, 0], "a": 2, "b": 1, "c": 2, "d": 2, "x": un(2, 1, [0])}),
+        "completion-inj-adjunction-ex": (158, {"side": "forall", "a": 2, "b": 2, "x": ex(2, 1, [0]),
+                                               "y": ex(4, 1, [0]), "lhs": True, "rhs": False}),
+        "completion-inj-adjunction-un": (158, {"side": "forall", "a": 2, "b": 2, "x": un(2, 1, [0]),
+                                               "y": un(4, 1, [0]), "lhs": True, "rhs": False}),
+        "completion-meet-universal-un": (150, {"kind": "universal", "x": un(2, 1, [0]), "y": un(2, 1, [0]),
+                                               "z": un(2, 1, [0]), "lhs": False, "rhs": True}),
+        "completion-reindex-lattice-un": (130, {"f": [0], "op": "meet", "x": un(2, 1, [0]), "y": un(2, 1, [0])}),
+        "composite-structure": (875, {"op": "meet", "a": 2}),
+        "dialectica-lattice": (1194, {"op": "meet", "u": dial(1, 1, [0]), "v": dial(2, 1, [0])}),
+    },
+    Swapped: {
+        "adjunction-exists-along": (2, {"f": [], "dom": 0, "cod": 1, "u": 0, "v": 0, "lhs": False, "rhs": True}),
+        "adjunction-forall-along": (3, {"f": [], "dom": 0, "cod": 1, "u": 0, "v": 1, "lhs": True, "rhs": False}),
+        "completion-forall-pr-exp-adjunction": (
+            15, {"a1": 1, "a2": 0, "x": ex(0, 0, []), "y": ex(1, 1, [0]), "lhs": True, "rhs": False}),
+        "completion-inj-adjunction-ex": (16, {"side": "exists", "a": 1, "b": 1, "x": ex(1, 1, []),
+                                              "y": ex(2, 1, []), "lhs": False, "rhs": True}),
+        "completion-inj-adjunction-un": (16, {"side": "exists", "a": 1, "b": 1, "x": un(1, 1, []),
+                                              "y": un(2, 1, []), "lhs": False, "rhs": True}),
+        "completion-join-universal-ex": (25, {"kind": "universal", "x": ex(1, 0, []), "y": ex(1, 1, []),
+                                              "z": ex(1, 1, []), "lhs": False, "rhs": True}),
+        "completion-meet-universal-un": (31, {"kind": "universal", "x": un(1, 0, []), "y": un(1, 1, [0]),
+                                              "z": un(1, 1, [0]), "lhs": False, "rhs": True}),
+        "composite-structure": (218, {"op": "exists_inj", "a": 1, "b": 1}),
+        "dialectica-lattice": (1062, {"op": "meet", "u": dial(1, 0, []), "v": dial(1, 1, [0])}),
+    },
+}
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("doctrine", list(FAILURES), ids=lambda d: d.__name__)
+    def test_first_failure_pinned(self, doctrine):
+        # each sabotage fails exactly these laws, each at the same check
+        # with the same first counterexample, and skips nothing
+        failed = {}
+        for suite in ("adjunctions", "beck-chevalley", "lattice", "skolem", "dialectica-oracle"):
+            for r in run_suite(suite, LawContext(doctrine(), max_card=2, qmax=1, seed=7)).results:
+                assert r.status != SKIPPED, r
+                if r.status == FAIL:
+                    failed[r.law] = (r.checked, r.counterexample)
+        assert failed == FAILURES[doctrine]
