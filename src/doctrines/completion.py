@@ -225,18 +225,15 @@ class Completion(Doctrine):
 
     # -- quantifiers along injections -------------------------------------
 
-    def _inj_transport(self, split, x: QuantElem, side: str) -> QuantElem:
+    def _inj_transport(self, split, x: QuantElem, quantify) -> QuantElem:
+        """x along A -> A + B, by the base's `quantify` along A x D -> A x D + B x D."""
         a, b = split
         self._check_elem(x)
         if x.base != a:
             raise ValueError("element does not live over the first summand")
         cat = self.cat
         d = x.qobj
-        ad, bd = cat.product(a, d), cat.product(b, d)
-        if side == "exists":
-            inner = self.base.exists_inj((ad, bd), x.pred)
-        else:
-            inner = self.base.forall_inj((ad, bd), x.pred)
+        inner = quantify((cat.product(a, d), cat.product(b, d)), x.pred)
         # transport (AxD)+(BxD) -> (A+B)xD along the inverse distributivity iso
         tl_inv = cat.theta_left_inv(a, b, d)
         return self.elem(cat.coproduct(a, b), d, self.base.reindex(tl_inv, inner))
@@ -244,12 +241,12 @@ class Completion(Doctrine):
     def exists_inj(self, split, x: QuantElem) -> QuantElem:
         if CAP_INJ_LEFT not in self.caps:
             raise CapabilityError(f"missing capability {CAP_INJ_LEFT}")
-        return self._inj_transport(split, x, "exists")
+        return self._inj_transport(split, x, self.base.exists_inj)
 
     def forall_inj(self, split, x: QuantElem) -> QuantElem:
         if CAP_INJ_RIGHT not in self.caps:
             raise CapabilityError(f"missing capability {CAP_INJ_RIGHT}")
-        return self._inj_transport(split, x, "forall")
+        return self._inj_transport(split, x, self.base.forall_inj)
 
     # -- lattice structure -------------------------------------------------
 
@@ -286,7 +283,7 @@ class Completion(Doctrine):
         if self.polarity == EX:
             bc, px, py = self._pointwise_pair(a, x, y)
             return self.elem(a, bc, self.base.meet(cat.product(a, bc), px, py))
-        return self._sum_combine(a, x, y, quant="forall", combine="meet")
+        return self._sum_combine(a, x, y, self.base.forall_inj, self.base.meet)
 
     def join(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
         self._check_pair(x, y)
@@ -294,25 +291,17 @@ class Completion(Doctrine):
         if self.polarity == UN:
             bc, px, py = self._pointwise_pair(a, x, y)
             return self.elem(a, bc, self.base.join(cat.product(a, bc), px, py))
-        return self._sum_combine(a, x, y, quant="exists", combine="join")
+        return self._sum_combine(a, x, y, self.base.exists_inj, self.base.join)
 
-    def _sum_combine(self, a, x: QuantElem, y: QuantElem, quant: str, combine: str) -> QuantElem:
-        """(A, B+C, theta-transport of Q_j(x) combined with Q_j(y))."""
+    def _sum_combine(self, a, x: QuantElem, y: QuantElem, quantify, combine) -> QuantElem:
+        """(A, B+C, theta-transport of Q_j(x) combined with Q_j(y)), Q the
+        base's injection adjoint `quantify` and `combine` its meet or join."""
         cat = self.cat
         b, c = x.qobj, y.qobj
         ab, ac = cat.product(a, b), cat.product(a, c)
-        if quant == "exists":
-            left = self.base.exists_inj((ab, ac), x.pred)
-            right = self.base.reindex(
-                _swap_coproduct(cat, ab, ac), self.base.exists_inj((ac, ab), y.pred)
-            )
-        else:
-            left = self.base.forall_inj((ab, ac), x.pred)
-            right = self.base.reindex(
-                _swap_coproduct(cat, ab, ac), self.base.forall_inj((ac, ab), y.pred)
-            )
-        s = cat.coproduct(ab, ac)
-        combined = self.base.meet(s, left, right) if combine == "meet" else self.base.join(s, left, right)
+        left = quantify((ab, ac), x.pred)
+        right = self.base.reindex(_swap_coproduct(cat, ab, ac), quantify((ac, ab), y.pred))
+        combined = combine(cat.coproduct(ab, ac), left, right)
         theta_inv = cat.theta_inv(a, b, c)
         return self.elem(a, cat.coproduct(b, c), self.base.reindex(theta_inv, combined))
 

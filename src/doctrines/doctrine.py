@@ -339,11 +339,17 @@ class TabularDoctrine(Doctrine):
         self._exists = dict(exists_tables or {})
         self._forall = dict(forall_tables or {})
 
+    def _fiber(self, a):
+        try:
+            return self.fibers[a]
+        except KeyError:
+            raise CapabilityError(f"{a!r} is not a declared object") from None
+
     def fiber_leq(self, a, p, q) -> bool:
-        return self.fibers[a].le(p, q)
+        return self._fiber(a).le(p, q)
 
     def fiber_elements(self, a):
-        return range(self.fibers[a].n)
+        return range(self._fiber(a).n)
 
     def reindex(self, f: Arrow, p):
         try:

@@ -2,7 +2,8 @@
 builtins: an undefined-name check that needs only the standard library.
 The top-level package exports exactly what its callers outside the
 package take from it, every library name the benchmark's tracer wraps
-exists, and every library definition has a reference somewhere."""
+exists, every library definition has a reference somewhere, and no
+library line is longer than 120 columns."""
 
 import ast
 import builtins
@@ -118,3 +119,15 @@ def test_every_definition_is_referenced():
                     and node.name not in used):
                 unreferenced.append(f"{name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_library_lines_fit():
+    """No line of the library runs over 120 columns, so a change cannot
+    shorten a module by joining lines."""
+    long_lines = [
+        f"{path.name}:{n} ({len(line)} columns)"
+        for path in sorted((ROOT / "src" / "doctrines").glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 120
+    ]
+    assert long_lines == []
