@@ -28,8 +28,8 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _load_elem(doc, data) -> QuantElem:
-    data = read_json(data) if isinstance(data, str) else data
+def _load_elem(doc, text: str) -> QuantElem:
+    data = read_json(text)
     try:
         polarity = data["polarity"]
         base = natural(data["base"], "base")
@@ -45,8 +45,8 @@ def _elem_json(doc, x: QuantElem) -> dict:
     return Completion(doc, x.polarity).pred_to_json(x.base, x)
 
 
-def _load_dial(doc, data) -> DialObj:
-    data = read_json(data) if isinstance(data, str) else data
+def _load_dial(doc, text: str) -> DialObj:
+    data = read_json(text)
     try:
         src, tgt = natural(data["src"], "src"), natural(data["tgt"], "tgt")
         return DialObj(src, tgt, doc.pred_from_json(doc.cat.product(src, tgt), data.get("pred", [])))
@@ -266,25 +266,21 @@ def _dispatch(args) -> int:
     if args.command == "choice":
         x = _load_elem(doc, args.x)
         comp = Completion(doc, x.polarity, budget)
-        cert = extract_choice(comp, x)
-        if cert is None:
+        f = extract_choice(comp, x)
+        if f is None:
             _emit(args, {"witness": None}, "no witness: the existential is not provable")
             return EXIT_NEGATIVE
-        _emit(args, {"witness": list(cert.witness.table)}, f"witness {list(cert.witness.table)}")
+        _emit(args, {"witness": list(f.table)}, f"witness {list(f.table)}")
         return EXIT_OK
 
     if args.command == "counterexample":
         x = _load_elem(doc, args.x)
         comp = Completion(doc, x.polarity, budget)
-        cert = extract_counterexample(comp, x)
-        if cert is None:
+        g = extract_counterexample(comp, x)
+        if g is None:
             _emit(args, {"counterexample": None}, "no counterexample: the universal is not refutable")
             return EXIT_NEGATIVE
-        _emit(
-            args,
-            {"counterexample": list(cert.counterexample.table)},
-            f"counterexample {list(cert.counterexample.table)}",
-        )
+        _emit(args, {"counterexample": list(g.table)}, f"counterexample {list(g.table)}")
         return EXIT_OK
 
     if args.command == "skolem":

@@ -42,16 +42,7 @@ from .doctrine import (
     op_doctrine,
 )
 from .errors import CapabilityError, WitnessValidationError
-from .fincat import (
-    Arrow,
-    SkelFinSet,
-    _canonical,
-    nth_proj,
-    prod_obj,
-    product_map,
-    reassoc_left,
-    tuple_arrow,
-)
+from .fincat import Arrow, SkelFinSet, product_map, reassoc_left
 from .poset import Preorder
 
 EX = "EX"
@@ -124,7 +115,7 @@ class Completion(Doctrine):
             raise ValueError(f"polarity must be EX or UN, got {polarity!r}")
         caps = set()
         caps.add(CAP_EX_PR if polarity == EX else CAP_UN_PR)
-        if polarity == EX and CAP_UN_PR in base.caps and getattr(base.cat, "has_exponentials", False):
+        if polarity == EX and CAP_UN_PR in base.caps and base.cat.has_exponentials:
             caps.add(CAP_UN_PR)
         if CAP_INJ_LEFT in base.caps:
             caps.add(CAP_INJ_LEFT)
@@ -340,10 +331,10 @@ class Completion(Doctrine):
                 out.append(self.elem(a, q, p))
         return out
 
-    def bounded_preorder(self, a, qmax: int, preds=None):
+    def bounded_preorder(self, a, qmax: int):
         """The bounded fiber as an explicit Preorder (labels are elements),
         built from its classes by ``Preorder.from_le`` (at most 2·n·k decisions)."""
-        elems = self.bounded_fiber(a, qmax, preds)
+        elems = self.bounded_fiber(a, qmax)
         return Preorder.from_le(elems, lambda x, y: self.leq(x, y) is not None)
 
     def fiber_elements(self, a):
@@ -395,56 +386,3 @@ def dual_completion(comp: Completion) -> Completion:
     """The partner completion over the order-reversed base."""
     return Completion(op_doctrine(comp.base), EX if comp.polarity == UN else UN, comp.budget)
 
-
-# ---------------------------------------------------------------------------
-# quantifiers along general coordinate projections
-# ---------------------------------------------------------------------------
-
-
-def _proj_reduction(cat, factors, keep):
-    """Permutation arrow (prod kept) x (prod dropped) -> prod(factors)
-    together with the kept and dropped product objects, built once per
-    category."""
-    return _proj_reduction_of(cat, tuple(factors), tuple(keep))
-
-
-@_canonical
-def _proj_reduction_of(cat, factors: tuple, keep: tuple):
-    dropped = [i for i in range(len(factors)) if i not in keep]
-    kept_factors = [factors[i] for i in keep]
-    dropped_factors = [factors[i] for i in dropped]
-    k_obj = prod_obj(cat, kept_factors)
-    d_obj = prod_obj(cat, dropped_factors)
-    src = cat.product(k_obj, d_obj)
-    pr_k = cat.proj1(k_obj, d_obj)
-    pr_d = cat.proj2(k_obj, d_obj)
-    comps = []
-    for i in range(len(factors)):
-        if i in keep:
-            leg = nth_proj(cat, kept_factors, keep.index(i))
-            comps.append(cat.compose(leg, pr_k))
-        else:
-            leg = nth_proj(cat, dropped_factors, dropped.index(i))
-            comps.append(cat.compose(leg, pr_d))
-    tau = tuple_arrow(cat, comps)
-    if tau.dom != src:
-        raise AssertionError("projection reduction built a mismatched arrow")
-    return tau, k_obj, d_obj
-
-
-def exists_proj(doc: Doctrine, factors, keep, pred):
-    """Left adjoint to reindexing along the coordinate projection
-    prod(factors) -> prod(factors[i] for i in keep), reduced to the binary
-    first-projection adjoint through a permutation isomorphism."""
-    if list(keep) == list(range(len(factors))):
-        return pred
-    tau, k_obj, d_obj = _proj_reduction(doc.cat, factors, keep)
-    return doc.exists_pr((k_obj, d_obj), doc.reindex(tau, pred))
-
-
-def forall_proj(doc: Doctrine, factors, keep, pred):
-    """Right adjoint analogue of :func:`exists_proj`."""
-    if list(keep) == list(range(len(factors))):
-        return pred
-    tau, k_obj, d_obj = _proj_reduction(doc.cat, factors, keep)
-    return doc.forall_pr((k_obj, d_obj), doc.reindex(tau, pred))

@@ -16,57 +16,54 @@ This module also houses the universal structure of an existential
 completion over a base with exponentials: the right adjoint to
 reindexing along a projection trades the quantified object B for the
 exponential B^A2, reading `exists b. alpha(a1, a2, b)` as
-`exists g: B^A2. forall a2. alpha(a1, a2, g(a2))`.
+`exists g: B^A2. forall a2. alpha(a1, a2, g(a2))`.  It is one reindex
+along the evaluation expansion (A1 x B^A2) x A2 -> (A1 x A2) x B followed
+by the base's forall along the binary projection onto A1 x B^A2.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .completion import EX, UN, Completion, QuantElem, decide, forall_proj
+from .completion import EX, UN, Completion, QuantElem, decide
 from .doctrine import CAP_UN_PR, Doctrine
 from .errors import CapabilityError, SearchBudgetExceeded, resolve_budget
-from .fincat import Arrow, _canonical, compose, nth_proj, product_map, prod_obj, tuple_arrow
+from .fincat import Arrow, _canonical, product_map
 from .poset import Preorder
 
 
 @_canonical
 def eval_expand_arrow(cat, a1, a2, b) -> Arrow:
-    """A1 x A2 x B^A2 -> A1 x A2 x B, evaluating the function coordinate
-    at the middle coordinate; built once per category."""
+    """(A1 x B^A2) x A2 -> (A1 x A2) x B, taking (a1, g, a2) to
+    (a1, a2, g(a2)); built once per category."""
     e = cat.exponential(b, a2)
-    factors = [a1, a2, e]
-    src = prod_obj(cat, factors)
-    p1 = nth_proj(cat, factors, 0)
-    p2 = nth_proj(cat, factors, 1)
-    p3 = nth_proj(cat, factors, 2)
-    evm = cat.ev(b, a2)
-    applied = compose(evm, cat.pair(p2, p3))
-    arrow = tuple_arrow(cat, [p1, p2, applied])
-    if arrow.dom != src:
-        raise AssertionError("evaluation expansion built a mismatched arrow")
-    return arrow
+    ae = cat.product(a1, e)
+    p_ae = cat.proj1(ae, a2)
+    p_a2 = cat.proj2(ae, a2)
+    p_g = cat.compose(cat.proj2(a1, e), p_ae)
+    applied = cat.compose(cat.ev(b, a2), cat.pair(p_a2, p_g))
+    return cat.pair(cat.pair(cat.compose(cat.proj1(a1, e), p_ae), p_a2), applied)
 
 
 def forall_pr_exp(comp: Completion, split, x: QuantElem) -> QuantElem:
     """Right adjoint to reindexing along proj1(split) in an existential
-    completion whose base is universal and whose category has exponents."""
+    completion whose base is universal and whose category has exponents:
+    one reindex along :func:`eval_expand_arrow`, then the base's forall
+    along the projection (A1 x B^A2) x A2 -> A1 x B^A2."""
     if comp.polarity != EX:
         raise CapabilityError("exponential forall lives in the existential completion")
     if CAP_UN_PR not in comp.base.caps:
         raise CapabilityError("base doctrine is not universal over projections")
-    if not getattr(comp.cat, "has_exponentials", False):
+    if not comp.cat.has_exponentials:
         raise CapabilityError("base category has no exponentials")
     a1, a2 = split
     comp._check_elem(x)
     cat = comp.cat
     if x.base != cat.product(a1, a2):
         raise ValueError("element does not live over the stated product")
-    b = x.qobj
-    e = cat.exponential(b, a2)
-    delta = comp.base.reindex(eval_expand_arrow(cat, a1, a2, b), x.pred)
-    gamma = forall_proj(comp.base, (a1, a2, e), (0, 2), delta)
-    return comp.elem(a1, e, gamma)
+    e = cat.exponential(x.qobj, a2)
+    delta = comp.base.reindex(eval_expand_arrow(cat, a1, a2, x.qobj), x.pred)
+    return comp.elem(a1, e, comp.base.forall_pr((cat.product(a1, e), a2), delta))
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +165,15 @@ def dial_from_nested(nested: Completion, z: QuantElem) -> DialObj:
     return DialObj(z.qobj, w.qobj, inner.base.reindex(transport, w.pred))
 
 
-def dial_order_agrees(doc: Doctrine, u: DialObj, v: DialObj, budget: int | None = None) -> bool:
+def dial_order_agrees(doc: Doctrine, u: DialObj, v: DialObj) -> bool:
     """Run both decision procedures on one pair and compare.
 
     The direct (f, F) search and the nested-completion order are
     independent implementations of the same relation; disagreement means
     a bug, and the law suite sweeps this over whole bounded fibers.
     """
-    nested = nested_completion(doc, budget)
-    direct = dial_leq(doc, u, v, budget) is not None
+    nested = nested_completion(doc)
+    direct = dial_leq(doc, u, v) is not None
     via = nested.leq(dial_to_nested(nested, u), dial_to_nested(nested, v)) is not None
     return direct == via
 

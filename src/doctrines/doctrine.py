@@ -370,10 +370,10 @@ class TabularDoctrine(Doctrine):
             raise CapabilityError(f"no right adjoint table for {f!r}") from None
 
     def pred_to_json(self, a, p):
-        return self.fibers[a].labels[p]
+        return self._fiber(a).labels[p]
 
     def pred_from_json(self, a, data):
-        return self.fibers[a].labels.index(data)
+        return self._fiber(a).labels.index(data)
 
     def _has_any_adjoint_tables(self) -> bool:
         return bool(self._exists) or bool(self._forall)

@@ -17,11 +17,14 @@ reassociation ``(A x B) x C ~ A x (B x C)`` and the unit isomorphisms
 ``A x 1 ~ A ~ 1 x A`` all have identity tables, but helpers below still
 construct them as explicit arrows so code stays correct over any base.
 
+Products are binary: every quantifier the library adds runs along a
+projection ``A x B -> A``, and the one wider product it forms, the
+``(A1 x B^A2) x A2`` of Skolemization, is built from ``pair``/``proj*``.
+
 Canonical structure maps (identities, projections, injections, ``bang``,
-evaluation, the generic ``nth_proj`` and ``reassoc_left``, the
-distributivity isos of finite sets, and, registered from their own
-modules, the projection reductions behind ``exists_proj``/``forall_proj``
-and the evaluation expansion behind ``forall_pr_exp``) are built once per
+evaluation, the generic ``reassoc_left``, the distributivity isos of
+finite sets, and, registered from its own module, the evaluation
+expansion behind ``forall_pr_exp``) are built once per
 category instance, on first request, and then shared: every later request
 for the same maps between the same objects returns the same immutable
 value.  The memo lives on the category, so a fresh category starts empty.
@@ -266,47 +269,6 @@ def product_map(cat, f: Arrow, g: Arrow) -> Arrow:
     return cat.pair(cat.compose(f, p1), cat.compose(g, p2))
 
 
-def prod_obj(cat, factors):
-    """Left-associated product of a list of objects; empty product is 1."""
-    factors = list(factors)
-    if not factors:
-        return cat.terminal
-    obj = factors[0]
-    for x in factors[1:]:
-        obj = cat.product(obj, x)
-    return obj
-
-
-def nth_proj(cat, factors, i) -> Arrow:
-    """Projection of the left-associated product onto its i-th factor."""
-    return _nth_proj(cat, tuple(factors), i)
-
-
-@_canonical
-def _nth_proj(cat, factors: tuple, i) -> Arrow:
-    n = len(factors)
-    if not 0 <= i < n:
-        raise IndexError(i)
-    if n == 1:
-        return cat.identity(factors[0])
-    head = prod_obj(cat, factors[:-1])
-    last = factors[-1]
-    if i == n - 1:
-        return cat.proj2(head, last)
-    return cat.compose(_nth_proj(cat, factors[:-1], i), cat.proj1(head, last))
-
-
-def tuple_arrow(cat, components) -> Arrow:
-    """<c_0, .., c_{k-1}> into the left-associated product of the cods."""
-    components = list(components)
-    if not components:
-        raise ValueError("empty tuple arrow")
-    out = components[0]
-    for c in components[1:]:
-        out = cat.pair(out, c)
-    return out
-
-
 @_canonical
 def reassoc_left(cat, a, b, c) -> Arrow:
     """A x (B x C) -> (A x B) x C.  Identity table in the skeletal encoding."""
@@ -465,8 +427,12 @@ def load_category(source) -> TableCat:
     re-verified; violations raise LoadError naming the broken law.
     """
     data = _as_dict(source)
+    cards: dict = {}
     try:
-        cards = {o["id"]: natural(o["card"], "object card") for o in data["objects"]}
+        for o in data["objects"]:
+            if o["id"] in cards:
+                raise LoadError(f"duplicate object id {o['id']!r}", law="object-id")
+            cards[o["id"]] = natural(o["card"], "object card")
     except ValueError as exc:
         raise LoadError(str(exc), law="object-card") from None
     except (KeyError, TypeError) as exc:

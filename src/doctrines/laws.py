@@ -526,9 +526,8 @@ def _law_inj_adjunction(ctx, polarity):
     """
     comp = ctx.completion(polarity)
     checked = 0
-    initial = getattr(comp.cat, "initial", None)
     for a, b in itertools.product(ctx.objects, repeat=2):
-        if a == initial:
+        if a == comp.cat.initial:
             continue
         j1 = comp.cat.inj1(a, b)
         over_x = ctx.order(polarity, a)
@@ -807,9 +806,9 @@ def _law_skolem_sampled(ctx):
 
 
 def _law_choice(ctx, polarity):
-    """The rule of choice (EX) or the counterexample property (UN): a
-    certificate exists exactly when every a has some b with alpha(a, b)
-    (EX) or some b without it (UN), and its arrow picks such a b."""
+    """The rule of choice (EX) or the counterexample property (UN): an
+    arrow is extracted exactly when every a has some b with alpha(a, b)
+    (EX) or some b without it (UN), and it picks such a b."""
     comp = ctx.completion(polarity)
     if not isinstance(comp.cat, SkelFinSet):
         raise CapabilityError("choice principles need the finite-sets base, whose objects are cardinalities")
@@ -821,14 +820,13 @@ def _law_choice(ctx, polarity):
         for b in ctx.objects:
             for alpha in doc.fiber_elements(a * b):
                 checked += 1
-                cert = extract(comp, comp.elem(a, b, alpha))
+                arrow = extract(comp, comp.elem(a, b, alpha))
                 want = all(any((alpha >> (aa * b + bb) & 1) == hit for bb in range(b)) for aa in range(a))
-                if (cert is not None) != want:
-                    return checked, {"a": a, "b": b, "alpha": alpha, "got": cert is not None, "want": want}
-                if cert is None:
+                if (arrow is not None) != want:
+                    return checked, {"a": a, "b": b, "alpha": alpha, "got": arrow is not None, "want": want}
+                if arrow is None:
                     continue
-                picked = (cert.witness if polarity == EX else cert.counterexample).table
-                if not all((alpha >> (aa * b + picked[aa]) & 1) == hit for aa in range(a)):
+                if not all((alpha >> (aa * b + arrow.table[aa]) & 1) == hit for aa in range(a)):
                     return checked, {"a": a, "b": b, "alpha": alpha, "kind": "unsound"}
     return checked, None
 

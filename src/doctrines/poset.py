@@ -44,10 +44,14 @@ class Preorder:
 
     @classmethod
     def from_pairs(cls, labels, pairs):
-        """Reflexive-transitive closure of the given covering pairs."""
+        """Reflexive-transitive closure of the given covering pairs between
+        distinct labels."""
         labels = tuple(labels)
         idx = {x: i for i, x in enumerate(labels)}
         n = len(labels)
+        repeated = [x for i, x in enumerate(labels) if idx[x] != i]
+        if repeated:
+            raise ValueError(f"repeated element {repeated[0]!r}")
         rows = [1 << i for i in range(n)]
         for a, b in pairs:
             if a not in idx or b not in idx:

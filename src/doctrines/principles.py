@@ -12,27 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import EX, UN, Completion, QuantElem, exists_proj, forall_proj
+from .completion import EX, UN, Completion, QuantElem
 from .dialectica import eval_expand_arrow
 from .doctrine import CAP_LAT
 from .errors import CapabilityError, WitnessValidationError
-from .fincat import Arrow, compose, prod_obj
-
-
-@dataclass(frozen=True)
-class ChoiceCertificate:
-    """A witness arrow A -> B, validated before it is returned: the top
-    predicate on A is below the substitution of alpha along <id, witness>."""
-
-    witness: Arrow
-
-
-@dataclass(frozen=True)
-class CounterexampleCertificate:
-    """A counterexample arrow A -> B: substituting it into alpha lands
-    below the bottom predicate on A."""
-
-    counterexample: Arrow
+from .fincat import Arrow, compose
 
 
 def _via_unit(cat, w: Arrow, a) -> Arrow:
@@ -41,9 +25,10 @@ def _via_unit(cat, w: Arrow, a) -> Arrow:
     return compose(w, unit_inv)
 
 
-def extract_choice(comp: Completion, x: QuantElem) -> ChoiceCertificate | None:
+def extract_choice(comp: Completion, x: QuantElem) -> Arrow | None:
     """Rule of choice: from top <= (exists b. alpha) recover f with
-    top <= alpha(a, f(a)); None exactly when the existential is not provable."""
+    top <= alpha(a, f(a)), validated before it is returned; None exactly
+    when the existential is not provable."""
     if comp.polarity != EX:
         raise CapabilityError("choice extraction works in the existential completion")
     if CAP_LAT not in comp.base.caps:
@@ -54,7 +39,7 @@ def extract_choice(comp: Completion, x: QuantElem) -> ChoiceCertificate | None:
     f = _via_unit(comp.cat, w.arrow, x.base)
     if not _choice_valid(comp, x, f):
         raise WitnessValidationError(f"choice witness {f!r} failed semantic validation")
-    return ChoiceCertificate(f)
+    return f
 
 
 def _choice_valid(comp: Completion, x: QuantElem, f: Arrow) -> bool:
@@ -63,10 +48,10 @@ def _choice_valid(comp: Completion, x: QuantElem, f: Arrow) -> bool:
     return comp.base.fiber_leq(x.base, comp.base.top(x.base), comp.base.reindex(graph, x.pred))
 
 
-def extract_counterexample(comp: Completion, x: QuantElem) -> CounterexampleCertificate | None:
+def extract_counterexample(comp: Completion, x: QuantElem) -> Arrow | None:
     """Counterexample property: from (forall b. alpha) <= bottom recover g
-    with alpha(a, g(a)) <= bottom; None exactly when the universal is not
-    refutable."""
+    with alpha(a, g(a)) <= bottom, validated before it is returned; None
+    exactly when the universal is not refutable."""
     if comp.polarity != UN:
         raise CapabilityError("counterexample extraction works in the universal completion")
     if CAP_LAT not in comp.base.caps:
@@ -77,7 +62,7 @@ def extract_counterexample(comp: Completion, x: QuantElem) -> CounterexampleCert
     g = _via_unit(comp.cat, w.arrow, x.base)
     if not _counterexample_valid(comp, x, g):
         raise WitnessValidationError(f"counterexample {g!r} failed semantic validation")
-    return CounterexampleCertificate(g)
+    return g
 
 
 def _counterexample_valid(comp: Completion, x: QuantElem, g: Arrow) -> bool:
@@ -113,15 +98,12 @@ def skolem_check(comp: Completion, a1, a2, b, alpha) -> SkolemReport:
     if comp.polarity != EX:
         raise CapabilityError("skolem check works in the existential completion")
     cat = comp.cat
-    factors = [a1, a2, b]
-    x0 = comp.unit(prod_obj(cat, factors), alpha)
-    lhs_mid = exists_proj(comp, factors, (0, 1), x0)
-    lhs = comp.forall_pr((a1, a2), lhs_mid)
+    ab = cat.product(a1, a2)
+    lhs = comp.forall_pr((a1, a2), comp.exists_pr((ab, b), comp.unit(cat.product(ab, b), alpha)))
 
     e = cat.exponential(b, a2)
-    delta = comp.base.reindex(eval_expand_arrow(cat, a1, a2, b), alpha)
-    y0 = comp.unit(prod_obj(cat, [a1, a2, e]), delta)
-    rhs_mid = forall_proj(comp, (a1, a2, e), (0, 2), y0)
-    rhs = exists_proj(comp, (a1, e), (0,), rhs_mid)
+    expand = eval_expand_arrow(cat, a1, a2, b)
+    y0 = comp.unit(expand.dom, comp.base.reindex(expand, alpha))
+    rhs = comp.exists_pr((a1, e), comp.forall_pr((cat.product(a1, e), a2), y0))
 
     return SkolemReport(lhs, rhs, comp.leq(lhs, rhs), comp.leq(rhs, lhs))

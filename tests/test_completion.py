@@ -11,8 +11,6 @@ from doctrines.completion import (
     Completion,
     dual_completion,
     duality_transport,
-    exists_proj,
-    forall_proj,
 )
 from doctrines.dialectica import DialObj, bounded_dialobjs, dial_leq, nested_completion
 from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
@@ -224,24 +222,21 @@ class TestProjectionQuantifiers:
         with pytest.raises(CapabilityError):
             un.exists_pr((1, 1), un.elem(1, 1, 0))
 
-    def test_proj_reductions(self):
-        # quantifying out the middle coordinate of 2x2x2, powerset level
-        factors = (2, 2, 2)
-        pred = 0b10110100
-        got = forall_proj(P, factors, (0, 2), pred)
-        want = 0
-        for a in range(2):
-            for c in range(2):
-                if all((pred >> ((a * 2 + b) * 2 + c)) & 1 for b in range(2)):
-                    want |= 1 << (a * 2 + c)
-        assert got == want
-        got_e = exists_proj(P, factors, (0, 2), pred)
-        want_e = 0
-        for a in range(2):
-            for c in range(2):
-                if any((pred >> ((a * 2 + b) * 2 + c)) & 1 for b in range(2)):
-                    want_e |= 1 << (a * 2 + c)
-        assert got_e == want_e
+    def test_exponential_forall_first_order(self):
+        # forall a2 over (A1 x A2, B, pred) is (A1, B^A2, gamma) with
+        # gamma(a1, g) iff pred((a1, a2), g(a2)) for every a2; g is ranked
+        # lexicographically, position 0 most significant
+        for a1, a2, b in ((1, 2, 2), (2, 2, 2), (2, 1, 3), (1, 3, 2), (2, 2, 1), (1, 2, 0), (1, 0, 2)):
+            e = b**a2
+            for pred in range(1 << (a1 * a2 * b)):
+                z = ex.forall_pr((a1, a2), ex.elem(a1 * a2, b, pred))
+                want = 0
+                for x1 in range(a1):
+                    for g in range(e):
+                        values = [(g // b ** (a2 - 1 - v)) % b for v in range(a2)]
+                        if all((pred >> ((x1 * a2 + x2) * b + values[x2])) & 1 for x2 in range(a2)):
+                            want |= 1 << (x1 * e + g)
+                assert z == ex.elem(a1, e, want), (a1, a2, b, pred)
 
 
 class TestLattice:

@@ -1,6 +1,7 @@
 """Dialectica layer: the exponential forall against direct semantics, the
 two order oracles against each other, and the composite lattice."""
 
+import itertools
 import random
 
 from doctrines.completion import EX, UN, Completion
@@ -12,6 +13,7 @@ from doctrines.dialectica import (
     dial_order_agrees,
     dial_preorder,
     dial_to_nested,
+    eval_expand_arrow,
     forall_pr_exp,
     nested_completion,
 )
@@ -45,6 +47,16 @@ def semantic_forall_exp(a1, a2, b, alpha):
 
 
 class TestForallExp:
+    def test_eval_expand_arrow_table(self):
+        # (a1, g, a2) in (A1 x B^A2) x A2 goes to (a1, a2, g(a2)) in (A1 x A2) x B
+        for a1, a2, b in itertools.product(range(4), repeat=3):
+            e = b**a2
+            arrow = eval_expand_arrow(C, a1, a2, b)
+            assert (arrow.dom, arrow.cod) == (a1 * e * a2, a1 * a2 * b)
+            for x1, g, x2 in itertools.product(range(a1), range(e), range(a2)):
+                value = (g // b ** (a2 - 1 - x2)) % b
+                assert arrow.table[(x1 * e + g) * a2 + x2] == (x1 * a2 + x2) * b + value
+
     def test_diagonal_selects_identity_function(self):
         alpha = mask([(0, 0), (1, 1)], 2)  # over 1x2x2 with a1 absorbed
         x = ex.elem(C.product(1, 2), 2, alpha)

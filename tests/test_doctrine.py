@@ -3,6 +3,7 @@ reversal, the verifier, and tabular files."""
 
 import pytest
 
+from doctrines.completion import EX, UN, Completion, duality_transport
 from doctrines.doctrine import (
     ALL_CAPS,
     OpDoctrine,
@@ -13,7 +14,7 @@ from doctrines.doctrine import (
     op_doctrine,
     powerset_doctrine,
 )
-from doctrines.errors import LoadError
+from doctrines.errors import CapabilityError, LoadError
 from doctrines.fincat import skel_category_json
 from doctrines.laws import LawContext, run_laws, run_suite, verify_doctrine
 from doctrines.report import PASS, SKIPPED
@@ -113,6 +114,29 @@ class TestOp:
         got = op.ex_witness(1, 1, 2, 0b1, 0b00)
         assert got == (0,)
         assert op.ex_witness(1, 1, 2, 0b0, 0b11) is None
+
+    def test_verifier_counts_match_the_base(self):
+        # every doctrine law holds on op(P), with P's check counts
+        counts = {r.law: r.checked for r in verify_doctrine(P, max_card=2).results}
+        rep = verify_doctrine(op_doctrine(P), max_card=2)
+        assert [r.status for r in rep.results] == [PASS] * 9
+        assert {r.law: r.checked for r in rep.results} == counts
+        assert sorted(counts.values()) == [7, 42, 73, 99, 99, 136, 163, 171, 385]
+
+    def test_completion_duality_and_serialization(self):
+        # x <= y in P^ex iff y <= x in (op P)^un, with the same arrow
+        ex, op_un = Completion(P, EX), Completion(op_doctrine(P), UN)
+        pairs = 0
+        for a in range(3):
+            fiber = ex.bounded_fiber(a, 1)
+            for x in fiber:
+                for y in fiber:
+                    w, v = ex.leq(x, y), op_un.leq(duality_transport(y), duality_transport(x))
+                    assert (w and w.arrow) == (v and v.arrow), (x, y)
+                    pairs += 1
+                z = duality_transport(x)
+                assert op_un.pred_from_json(a, op_un.pred_to_json(a, z)) == z
+        assert pairs == 38
 
 
 class TestVerifier:
@@ -251,6 +275,7 @@ class TestTabular:
                 lambda d: d["fibers"]["n1"].pop("elements"),
                 lambda d: d["fibers"]["n1"].update(leq=[5]),
                 lambda d: d["fibers"].update(n1=5),
+                lambda d: d["fibers"]["n1"].update(elements=["top", "top"], leq=[]),
             ],
             "map-table": [
                 lambda d: d["reindex"].update({ident: [0.2, 1.9]}),
@@ -271,6 +296,11 @@ class TestTabular:
                 with pytest.raises(LoadError) as e:
                     load_doctrine(data)
                 assert e.value.law == law
+        # predicates over an undeclared object are refused like its fiber
+        doc = load_doctrine(tiny_doctrine_data())
+        for call in (lambda: doc.pred_to_json("n9", 0), lambda: doc.pred_from_json("n9", "top")):
+            with pytest.raises(CapabilityError, match="'n9' is not a declared object"):
+                call()
 
 
 class TestOpWrap:

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from doctrines.completion import _proj_reduction, _proj_reduction_of
 from doctrines.dialectica import eval_expand_arrow
 from doctrines.errors import CapabilityError, LoadError, SearchBudgetExceeded
 from doctrines.fincat import (
@@ -12,8 +11,6 @@ from doctrines.fincat import (
     SkelFinSet,
     compose,
     load_category,
-    nth_proj,
-    prod_obj,
     product_map,
     reassoc_left,
     skel_category_json,
@@ -105,21 +102,6 @@ class TestProducts:
     def test_reassoc_identity_tables(self):
         # left-associated row-major flattening makes this an identity
         assert reassoc_left(C, 2, 3, 2).table == tuple(range(12))
-
-    def test_nth_proj(self):
-        factors = [2, 3, 2]
-        src = prod_obj(C, factors)
-        assert src == 12
-        for i, card in enumerate(factors):
-            p = nth_proj(C, factors, i)
-            assert p.dom == src and p.cod == card
-        # decode (a,b,c) from the flat index
-        p0, p1, p2 = (nth_proj(C, factors, i) for i in range(3))
-        for a in range(2):
-            for b in range(3):
-                for c in range(2):
-                    i = (a * 3 + b) * 2 + c
-                    assert (p0.table[i], p1.table[i], p2.table[i]) == (a, b, c)
 
 
 class TestCoproducts:
@@ -271,6 +253,8 @@ class TestLoader:
         edits = {
             "object-card": [lambda d: d["objects"][1].update(card=1.7), lambda d: d["objects"][1].update(card=True),
                             lambda d: d["objects"][1].update(card=-1)],
+            "object-id": [lambda d: d["objects"].append({"id": "n1", "card": 1}),
+                          lambda d: d["objects"].append({"id": "n1", "card": 0})],
             "arrow-table": [lambda d: d["arrows"][2].update(table=[True]), lambda d: d["arrows"][2].update(table=[0.5]),
                             lambda d: d["arrows"].append(5)],
             "structure-ref": [lambda d: d["structure"]["products"][0].pop("right"),
@@ -287,6 +271,8 @@ class TestLoader:
                 with pytest.raises(LoadError) as e:
                     load_category(data)
                 assert e.value.law == law
+                if law == "object-id":
+                    assert "duplicate object id 'n1'" in str(e.value)
         for source in ("[]", "no-such-file.json", 5):
             with pytest.raises(LoadError):
                 load_category(source)
@@ -432,22 +418,11 @@ class TestCanonicalMemo:
             arrow = reassoc_left(cat, a, b, c)
             assert arrow == reassoc_left.__wrapped__(SkelFinSet(), a, b, c)
             assert reassoc_left(cat, a, b, c) is arrow
-            for i in range(3):
-                arrow = nth_proj(cat, [a, b, c], i)
-                assert arrow == nth_proj(SkelFinSet(), (a, b, c), i)
-                assert nth_proj(cat, (a, b, c), i) is arrow
 
     def test_structure_maps_of_other_modules(self):
-        # the projection reductions of exists_proj/forall_proj and the
-        # evaluation expansion of forall_pr_exp, carriers 0..3
+        # the evaluation expansion of forall_pr_exp, carriers 0..3
         cat = SkelFinSet()
         cards = range(4)
-        for factors in itertools.product(cards, repeat=3):
-            for k in range(4):
-                for keep in itertools.combinations(range(3), k):
-                    got = _proj_reduction(cat, list(factors), list(keep))
-                    assert got == _proj_reduction_of.__wrapped__(SkelFinSet(), factors, keep)
-                    assert _proj_reduction(cat, factors, keep) is got
         for a1, a2, b in itertools.product(cards, repeat=3):
             arrow = eval_expand_arrow(cat, a1, a2, b)
             assert arrow == eval_expand_arrow.__wrapped__(SkelFinSet(), a1, a2, b)
@@ -455,7 +430,6 @@ class TestCanonicalMemo:
         fresh = SkelFinSet()
         assert fresh._memo == {}
         assert eval_expand_arrow(fresh, 2, 2, 2) is not eval_expand_arrow(cat, 2, 2, 2)
-        assert _proj_reduction(fresh, (2, 2, 2), (0, 2)) is not _proj_reduction(cat, (2, 2, 2), (0, 2))
 
     def test_instances_do_not_share(self):
         one, two = SkelFinSet(), SkelFinSet()
@@ -466,22 +440,16 @@ class TestCanonicalMemo:
         assert one.proj1(2, 3) is p
 
     def test_failed_build_leaves_no_entry(self):
-        cat = SkelFinSet()
-        with pytest.raises(IndexError):
-            nth_proj(cat, [2, 3], 2)
+        # skel_category_json(2) declares no n2 x n2
+        cat = load_category(skel_category_json(2))
+        with pytest.raises(CapabilityError, match="no chosen product"):
+            reassoc_left(cat, "n2", "n2", "n2")
         assert cat._memo == {}
 
     def test_table_cat_declared_arrows(self):
         cat = load_category(skel_category_json(3))
         cards = {f"n{c}": c for c in range(4)}
-        for factors in (["n1", "n3", "n1"], ["n3", "n1", "n1"], ["n1", "n1", "n3"]):
-            src = prod_obj(cat, factors)
-            for i, obj in enumerate(factors):
-                p = nth_proj(cat, factors, i)
-                assert p in cat.hom(src, obj)
-                assert p.table == nth_proj(C, [cards[x] for x in factors], i).table
-                assert nth_proj(cat, factors, i) is p
-            a, b, c = factors
+        for a, b, c in (["n1", "n3", "n1"], ["n3", "n1", "n1"], ["n1", "n1", "n3"]):
             left = reassoc_left(cat, a, b, c)
             assert left in cat.hom(cat.product(a, cat.product(b, c)), cat.product(cat.product(a, b), c))
             assert left.table == tuple(range(cards[left.dom]))

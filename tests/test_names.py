@@ -131,3 +131,21 @@ def test_library_lines_fit():
         if len(line) > 120
     ]
     assert long_lines == []
+
+
+def test_every_canonical_map_is_memo_checked():
+    """Each structure map memoized with ``fincat._canonical`` is named in
+    ``tests/test_fincat.py::TestCanonicalMemo``, whose tests hold it equal
+    to a fresh build and shared between requests."""
+    tests = ast.parse((ROOT / "tests" / "test_fincat.py").read_text(encoding="utf-8"))
+    memo_tests = next(node for node in tests.body
+                      if isinstance(node, ast.ClassDef) and node.name == "TestCanonicalMemo")
+    checked = set(referenced_names(memo_tests, strings=True))
+    canonical = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted((ROOT / "src" / "doctrines").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(d, "id", getattr(d, "attr", None)) == "_canonical" for d in node.decorator_list)
+    ]
+    assert canonical and [c for c in canonical if c.split()[1] not in checked] == []

@@ -34,21 +34,21 @@ def refutable(alpha, a, b):
 
 class TestChoice:
     def test_trivial_existential(self):
-        cert = extract_choice(ex, ex.elem(2, 1, 0b11))
-        assert cert is not None and cert.witness.table == (0, 0)
+        f = extract_choice(ex, ex.elem(2, 1, 0b11))
+        assert f is not None and f.table == (0, 0)
 
     def test_swap_witness(self):
         alpha = mask([(0, 1), (1, 0)], 2)
-        cert = extract_choice(ex, ex.elem(2, 2, alpha))
-        assert cert is not None
-        assert cert.witness.table == (1, 0)
+        f = extract_choice(ex, ex.elem(2, 2, alpha))
+        assert f is not None
+        assert f.table == (1, 0)
         # lexicographically first valid table, confirmed by scan
         firsts = [
             t
             for t in [(0, 0), (0, 1), (1, 0), (1, 1)]
             if all((alpha >> (x * 2 + t[x])) & 1 for x in range(2))
         ]
-        assert firsts[0] == cert.witness.table
+        assert firsts[0] == f.table
 
     def test_unsatisfiable(self):
         assert extract_choice(ex, ex.elem(2, 2, 0)) is None
@@ -57,11 +57,11 @@ class TestChoice:
         for a in range(4):
             for b in range(4):
                 for alpha in range(1 << (a * b)):
-                    cert = extract_choice(ex, ex.elem(a, b, alpha))
-                    assert (cert is not None) == total(alpha, a, b)
-                    if cert is not None:
+                    f = extract_choice(ex, ex.elem(a, b, alpha))
+                    assert (f is not None) == total(alpha, a, b)
+                    if f is not None:
                         assert all(
-                            (alpha >> (x * b + cert.witness.table[x])) & 1
+                            (alpha >> (x * b + f.table[x])) & 1
                             for x in range(a)
                         )
 
@@ -73,25 +73,25 @@ class TestChoice:
 class TestCounterexample:
     def test_example(self):
         alpha = mask([(0, 1)], 2)
-        cert = extract_counterexample(un, un.elem(1, 2, alpha))
-        assert cert is not None and cert.counterexample.table == (0,)
+        g = extract_counterexample(un, un.elem(1, 2, alpha))
+        assert g is not None and g.table == (0,)
 
     def test_full_predicate_has_none(self):
         assert extract_counterexample(un, un.elem(2, 2, 0b1111)) is None
 
     def test_empty_predicate(self):
-        cert = extract_counterexample(un, un.elem(2, 1, 0))
-        assert cert is not None and cert.counterexample.table == (0, 0)
+        g = extract_counterexample(un, un.elem(2, 1, 0))
+        assert g is not None and g.table == (0, 0)
 
     def test_sound_and_complete_cards_3(self):
         for a in range(4):
             for b in range(4):
                 for alpha in range(1 << (a * b)):
-                    cert = extract_counterexample(un, un.elem(a, b, alpha))
-                    assert (cert is not None) == refutable(alpha, a, b)
-                    if cert is not None:
+                    g = extract_counterexample(un, un.elem(a, b, alpha))
+                    assert (g is not None) == refutable(alpha, a, b)
+                    if g is not None:
                         assert not any(
-                            (alpha >> (x * b + cert.counterexample.table[x])) & 1
+                            (alpha >> (x * b + g.table[x])) & 1
                             for x in range(a)
                         )
 
