@@ -42,7 +42,7 @@ from .doctrine import (
     op_doctrine,
 )
 from .errors import CapabilityError, WitnessValidationError
-from .fincat import Arrow, SkelFinSet, product_map, reassoc_left
+from .fincat import Arrow, SkelFinSet, _canonical, graph_pr1, reassoc_left, times_identity
 from .poset import Preorder
 
 EX = "EX"
@@ -169,15 +169,11 @@ class Completion(Doctrine):
     def certifies(self, x: QuantElem, y: QuantElem, arrow: Arrow) -> bool:
         """Does `arrow` witness x <= y?  Checked via the defining base
         inequality, not via the search that produced it."""
-        cat = self.cat
-        a = x.base
         if self.polarity == EX:
-            src = cat.product(a, x.qobj)
-            graph = cat.pair(cat.proj1(a, x.qobj), arrow)
-            return self.base.fiber_leq(src, x.pred, self.base.reindex(graph, y.pred))
-        src = cat.product(a, y.qobj)
-        graph = cat.pair(cat.proj1(a, y.qobj), arrow)
-        return self.base.fiber_leq(src, self.base.reindex(graph, x.pred), y.pred)
+            graph = graph_pr1(self.cat, x.base, x.qobj, arrow)
+            return self.base.fiber_leq(graph.dom, x.pred, self.base.reindex(graph, y.pred))
+        graph = graph_pr1(self.cat, x.base, y.qobj, arrow)
+        return self.base.fiber_leq(graph.dom, self.base.reindex(graph, x.pred), y.pred)
 
     # -- reindexing ------------------------------------------------------
 
@@ -186,8 +182,7 @@ class Completion(Doctrine):
         self._check_elem(y)
         if y.base != f.cod:
             raise ValueError(f"element over {y.base!r} cannot be reindexed along arrow into {f.cod!r}")
-        fx1 = product_map(self.cat, f, self.cat.identity(y.qobj))
-        return self.elem(f.dom, y.qobj, self.base.reindex(fx1, y.pred))
+        return self.elem(f.dom, y.qobj, self.base.reindex(times_identity(self.cat, f, y.qobj), y.pred))
 
     # -- quantifiers along projections ------------------------------------
 
@@ -259,14 +254,9 @@ class Completion(Doctrine):
 
     def _pointwise_pair(self, a, x: QuantElem, y: QuantElem):
         """Both predicates transported into the fiber over A x (B x C)."""
-        cat = self.cat
         b, c = x.qobj, y.qobj
-        bc = cat.product(b, c)
-        pr_a = cat.proj1(a, bc)
-        pr_bc = cat.proj2(a, bc)
-        to_b = cat.pair(pr_a, cat.compose(cat.proj1(b, c), pr_bc))
-        to_c = cat.pair(pr_a, cat.compose(cat.proj2(b, c), pr_bc))
-        return bc, self.base.reindex(to_b, x.pred), self.base.reindex(to_c, y.pred)
+        to_b, to_c = _pointwise_transports(self.cat, a, b, c)
+        return self.cat.product(b, c), self.base.reindex(to_b, x.pred), self.base.reindex(to_c, y.pred)
 
     def meet(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
         self._check_pair(x, y)
@@ -362,6 +352,17 @@ class Completion(Doctrine):
         return x
 
 
+@_canonical
+def _pointwise_transports(cat, a, b, c) -> tuple:
+    """The pair of maps A x (B x C) -> A x B and A x (B x C) -> A x C."""
+    bc = cat.product(b, c)
+    pr_a = cat.proj1(a, bc)
+    pr_bc = cat.proj2(a, bc)
+    return (cat.pair(pr_a, cat.compose(cat.proj1(b, c), pr_bc)),
+            cat.pair(pr_a, cat.compose(cat.proj2(b, c), pr_bc)))
+
+
+@_canonical
 def _swap_coproduct(cat, a, b) -> Arrow:
     """A + B -> B + A."""
     return cat.copair(cat.inj2(b, a), cat.inj1(b, a))

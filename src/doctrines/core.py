@@ -48,10 +48,9 @@ def ex_witness(na: int, nb: int, nc: int, alpha: int, beta: int):
     out = []
     pos = 0
     for a in range(na):
-        row = beta >> (a * nc)
+        c = _first_set(beta >> (a * nc), nc)
         for _b in range(nb):
             if (alpha >> pos) & 1:
-                c = _first_set(row, nc)
                 if c < 0:
                     return None
                 out.append(c)
@@ -75,14 +74,13 @@ def un_witness(na: int, nb: int, nc: int, alpha: int, beta: int):
     out = []
     pos = 0
     for a in range(na):
-        row = alpha >> (a * nb)
+        b = _first_clear(alpha >> (a * nb), nb)
         for _c in range(nc):
             if (beta >> pos) & 1:
                 out.append(0)
+            elif b < 0:
+                return None
             else:
-                b = _first_clear(row, nb)
-                if b < 0:
-                    return None
                 out.append(b)
             pos += 1
     return tuple(out)
@@ -121,14 +119,13 @@ def dial_witness(nb: int, nc: int, nb2: int, nc2: int, alpha: int, beta: int):
 def _dial_greedy(f, nb, nc, nc2, alpha, beta):
     out = []
     for b in range(nb):
-        arow = alpha >> (b * nc)
+        c = _first_clear(alpha >> (b * nc), nc)
         brow = beta >> (f[b] * nc2)
         for c2 in range(nc2):
             if (brow >> c2) & 1:
                 out.append(0)
+            elif c < 0:
+                return None
             else:
-                c = _first_clear(arow, nc)
-                if c < 0:
-                    return None
                 out.append(c)
     return tuple(out)

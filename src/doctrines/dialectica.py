@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .completion import EX, UN, Completion, QuantElem, decide
 from .doctrine import CAP_UN_PR, Doctrine
 from .errors import CapabilityError, SearchBudgetExceeded, resolve_budget
-from .fincat import Arrow, _canonical, product_map
+from .fincat import Arrow, _canonical, graph_pr1, times_identity
 from .poset import Preorder
 
 
@@ -117,12 +117,10 @@ def _dial_pairs(cat, u: DialObj, v: DialObj, budget):
 
 def dial_certifies(doc: Doctrine, u: DialObj, v: DialObj, f: Arrow, big_f: Arrow) -> bool:
     """P_<pr, F>(u.pred) <= P_(f x 1)(v.pred) in the fiber over src x tgt'."""
-    cat = doc.cat
-    stage = cat.product(u.src, v.tgt)
-    graph = cat.pair(cat.proj1(u.src, v.tgt), big_f)
+    graph = graph_pr1(doc.cat, u.src, v.tgt, big_f)
     lhs = doc.reindex(graph, u.pred)
-    rhs = doc.reindex(product_map(cat, f, cat.identity(v.tgt)), v.pred)
-    return doc.fiber_leq(stage, lhs, rhs)
+    rhs = doc.reindex(times_identity(doc.cat, f, v.tgt), v.pred)
+    return doc.fiber_leq(graph.dom, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +140,7 @@ def dial_to_nested(nested: Completion, u: DialObj) -> QuantElem:
     one = cat.terminal
     ob = cat.product(one, u.src)
     # predicate over (1 x B) x C from one over B x C
-    unit = cat.proj2(one, u.src)
-    transport = product_map(cat, unit, cat.identity(u.tgt))
+    transport = times_identity(cat, cat.proj2(one, u.src), u.tgt)
     inner_elem = inner.elem(ob, u.tgt, inner.base.reindex(transport, u.pred))
     return nested.elem(one, u.src, inner_elem)
 
@@ -161,7 +158,7 @@ def dial_from_nested(nested: Completion, z: QuantElem) -> DialObj:
     if w.base != cat.product(one, z.qobj):
         raise ValueError("inner element does not live over 1 x B")
     unit_inv = cat.pair(cat.bang(z.qobj), cat.identity(z.qobj))  # B -> 1 x B
-    transport = product_map(cat, unit_inv, cat.identity(w.qobj))
+    transport = times_identity(cat, unit_inv, w.qobj)
     return DialObj(z.qobj, w.qobj, inner.base.reindex(transport, w.pred))
 
 

@@ -73,7 +73,7 @@ from .doctrine import (
     powerset_doctrine,
 )
 from .errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
-from .fincat import SkelFinSet, product_map
+from .fincat import SkelFinSet, times_identity
 from .poset import Poset, lattice_check, poset_reflect
 from .principles import extract_choice, extract_counterexample, skolem_check
 from .report import FAIL, PASS, SKIPPED, LawReport, LawResult
@@ -328,7 +328,7 @@ def _pr_squares(ctx, cat):
     for f in ctx.arrows():
         for c in ctx.objects:
             ac = cat.product(f.cod, c)
-            yield f, c, ac, product_map(cat, f, cat.identity(c))
+            yield f, c, ac, times_identity(cat, f, c)
 
 
 def _inj_squares(ctx, cat):

@@ -4,16 +4,19 @@ import itertools
 
 import pytest
 
+from doctrines.completion import _pointwise_transports, _swap_coproduct
 from doctrines.dialectica import eval_expand_arrow
 from doctrines.errors import CapabilityError, LoadError, SearchBudgetExceeded
 from doctrines.fincat import (
     Arrow,
     SkelFinSet,
     compose,
+    graph_pr1,
     load_category,
     product_map,
     reassoc_left,
     skel_category_json,
+    times_identity,
 )
 
 C = SkelFinSet()
@@ -430,6 +433,55 @@ class TestCanonicalMemo:
         fresh = SkelFinSet()
         assert fresh._memo == {}
         assert eval_expand_arrow(fresh, 2, 2, 2) is not eval_expand_arrow(cat, 2, 2, 2)
+
+    def test_completion_structure_maps(self):
+        # the transports of a pointwise meet or join, and the coproduct swap
+        cat = SkelFinSet()
+        for a, b, c in itertools.product(self.CARDS, repeat=3):
+            maps = _pointwise_transports(cat, a, b, c)
+            assert maps == _pointwise_transports.__wrapped__(SkelFinSet(), a, b, c)
+            assert _pointwise_transports(cat, a, b, c) is maps
+        for a, b in itertools.product(self.CARDS, repeat=2):
+            swap = _swap_coproduct(cat, a, b)
+            assert swap == _swap_coproduct.__wrapped__(SkelFinSet(), a, b)
+            assert _swap_coproduct(cat, a, b) is swap
+
+    def test_arrow_keyed_maps(self):
+        # every graph <pr1, f> and every f x 1_Q with carriers 0..2, keyed
+        # on the arrow's value: an equal arrow built afresh finds the entry
+        cat = SkelFinSet()
+        cards = range(3)
+        for a, b, c in itertools.product(cards, repeat=3):
+            for f in cat.iter_hom(a * b, c):
+                graph = graph_pr1(cat, a, b, f)
+                assert graph == graph_pr1.__wrapped__(SkelFinSet(), a, b, f)
+                assert graph_pr1(cat, a, b, Arrow(f.dom, f.cod, tuple(list(f.table)))) is graph
+        for d, a, q in itertools.product(cards, repeat=3):
+            for f in cat.iter_hom(d, a):
+                fx1 = times_identity(cat, f, q)
+                assert fx1 == times_identity.__wrapped__(SkelFinSet(), f, q)
+                assert times_identity(cat, Arrow(f.dom, f.cod, tuple(list(f.table))), q) is fx1
+
+    def test_table_cat_arrow_keyed_maps(self):
+        cat = load_category(skel_category_json(3))
+        f = cat.names["a3_2_0_1_1"]
+        graph = graph_pr1(cat, "n1", "n3", f)
+        assert graph in cat.hom("n3", "n2") and graph.table == (0, 1, 1)
+        assert graph_pr1(cat, "n1", "n3", f) is graph
+        g = cat.names["a1_3_2"]
+        fx1 = times_identity(cat, g, "n1")
+        assert fx1 in cat.hom("n1", "n3") and fx1.table == (2,)
+        assert times_identity(cat, g, "n1") is fx1
+
+    def test_failed_pair_leaves_no_entry(self):
+        # skel_category_json(2) declares no n2 x n2, so neither map exists
+        cat = load_category(skel_category_json(2))
+        f = cat.names["a2_2_1_0"]
+        with pytest.raises(CapabilityError, match="no chosen product"):
+            graph_pr1(cat, "n2", "n1", f)
+        with pytest.raises(CapabilityError, match="no chosen product"):
+            times_identity(cat, f, "n2")
+        assert [key[0] for key in cat._memo] == ["identity"]
 
     def test_instances_do_not_share(self):
         one, two = SkelFinSet(), SkelFinSet()

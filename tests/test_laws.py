@@ -8,6 +8,7 @@ import pytest
 from doctrines.completion import EX, UN, Completion
 from doctrines.doctrine import PowersetDoctrine, op_doctrine, powerset_doctrine
 from doctrines.errors import SearchBudgetExceeded
+from doctrines.fincat import SkelFinSet
 from doctrines.laws import SUITES, LawContext, _Order, run_laws, run_suite, verify_doctrine
 from doctrines.report import FAIL, PASS, SKIPPED
 
@@ -277,9 +278,11 @@ class TestFiberOrder:
 
         run_suite("all", ctx)
         first = footprint()
+        maps = len(ctx.doctrine.cat._memo)
         for _ in range(2):
             run_suite("all", ctx)
             assert footprint() == first
+            assert len(ctx.doctrine.cat._memo) == maps
 
     def test_raising_decision_leaves_no_entry(self):
         class Refusing(CountingCompletion):
@@ -363,6 +366,24 @@ class TestMemoOracle:
         assert report() == memoized
         failed = [r["law"] for r in memoized["results"] if r["status"] == FAIL]
         assert (doctrine is StubbornNo) == bool(failed)
+
+    @pytest.mark.parametrize("doctrine", [PowersetDoctrine, StubbornNo])
+    def test_category_memo_changes_no_outcome(self, doctrine, monkeypatch):
+        # the same whole report with every structure map and every
+        # arrow-keyed map of the category built afresh on each request
+        class Forgetful(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        def report():
+            ctx = small_ctx(doctrine=doctrine())
+            return ctx.doctrine.cat._memo, run_suite("all", ctx).to_dict(with_timing=False)
+
+        kept, memoized = report()
+        monkeypatch.setattr(SkelFinSet, "__init__", lambda self: setattr(self, "_memo", Forgetful()))
+        forgot, fresh = report()
+        assert kept and forgot == {}
+        assert fresh == memoized
 
 
 class WrongMeet(PowersetDoctrine):
