@@ -263,24 +263,18 @@ def _dispatch(args) -> int:
         _emit(args, payload, text)
         return EXIT_OK if rep.ok else EXIT_LAW_FAIL
 
-    if args.command == "choice":
+    if args.command in ("choice", "counterexample"):
+        extract, key, negative = {
+            "choice": (extract_choice, "witness", "no witness: the existential is not provable"),
+            "counterexample": (extract_counterexample, "counterexample",
+                               "no counterexample: the universal is not refutable"),
+        }[args.command]
         x = _load_elem(doc, args.x)
-        comp = Completion(doc, x.polarity, budget)
-        f = extract_choice(comp, x)
+        f = extract(Completion(doc, x.polarity, budget), x)
         if f is None:
-            _emit(args, {"witness": None}, "no witness: the existential is not provable")
+            _emit(args, {key: None}, negative)
             return EXIT_NEGATIVE
-        _emit(args, {"witness": list(f.table)}, f"witness {list(f.table)}")
-        return EXIT_OK
-
-    if args.command == "counterexample":
-        x = _load_elem(doc, args.x)
-        comp = Completion(doc, x.polarity, budget)
-        g = extract_counterexample(comp, x)
-        if g is None:
-            _emit(args, {"counterexample": None}, "no counterexample: the universal is not refutable")
-            return EXIT_NEGATIVE
-        _emit(args, {"counterexample": list(g.table)}, f"counterexample {list(g.table)}")
+        _emit(args, {key: list(f.table)}, f"{key} {list(f.table)}")
         return EXIT_OK
 
     if args.command == "skolem":

@@ -296,15 +296,11 @@ class Completion(Doctrine):
 
     def mult(self, z: QuantElem) -> QuantElem:
         """Collapse one level of a doubled completion:
-        (A, B, (AxB, C, alpha)) becomes (A, BxC, alpha)."""
-        inner = z.pred
-        if not isinstance(inner, QuantElem) or inner.polarity != self.polarity:
+        (A, B, (AxB, C, alpha)) becomes (A, BxC, alpha), the free
+        quantifier of the inner element along the projection A x B -> A."""
+        if not isinstance(z.pred, QuantElem) or z.pred.polarity != self.polarity:
             raise ValueError("mult expects an element whose predicate is an inner completion element")
-        if inner.base != self.cat.product(z.base, z.qobj):
-            raise ValueError("inner element does not live over the outer product")
-        s = reassoc_left(self.cat, z.base, z.qobj, inner.qobj)
-        q = self.cat.product(z.qobj, inner.qobj)
-        return self.elem(z.base, q, self.base.reindex(s, inner.pred))
+        return self._shuffle_pr((z.base, z.qobj), z.pred)
 
     # -- bounded materialization ----------------------------------------------
 

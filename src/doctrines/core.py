@@ -5,11 +5,13 @@ belongs to the subset.  Product carriers are flattened row-major: (a, b)
 maps to a*nb + b.
 
 Each kernel returns the lexicographically least witness table.  In
-``ex_witness`` and ``un_witness`` the admissible values at distinct table
-positions are independent of each other, so the least witness is the
-pointwise minimum and those two kernels are linear in the carrier size.
-``dial_witness`` is not: it scans the forward map f by odometer, up to
-nb2**nb candidates, and takes no search budget.
+``ex_witness`` the admissible values at distinct table positions are
+independent of each other, so the least witness is the pointwise minimum
+and the kernel is linear in the carrier size.  ``un_witness`` is
+``ex_witness`` through complement: g: A x C -> B witnesses the universal
+order exactly when it sends every point outside beta to a point outside
+alpha.  Only ``dial_witness`` is not linear: it scans the forward map f
+by odometer, up to nb2**nb candidates, and takes no search budget.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ BACKEND = "pure"
 def _first_set(mask: int, limit: int) -> int:
     """Least bit index below `limit` set in mask, or -1."""
     m = mask & ((1 << limit) - 1)
-    if m == 0:
-        return -1
-    return (m & -m).bit_length() - 1
-
-
-def _first_clear(mask: int, limit: int) -> int:
-    """Least bit index below `limit` clear in mask, or -1."""
-    m = ~mask & ((1 << limit) - 1)
     if m == 0:
         return -1
     return (m & -m).bit_length() - 1
@@ -66,24 +60,7 @@ def un_witness(na: int, nb: int, nc: int, alpha: int, beta: int):
     alpha is a mask over A x B, beta over A x C.  Returns the table as a
     tuple, or None when no table qualifies.
     """
-    n = na * nc
-    if n == 0:
-        return ()
-    if nb == 0:
-        return None
-    out = []
-    pos = 0
-    for a in range(na):
-        b = _first_clear(alpha >> (a * nb), nb)
-        for _c in range(nc):
-            if (beta >> pos) & 1:
-                out.append(0)
-            elif b < 0:
-                return None
-            else:
-                out.append(b)
-            pos += 1
-    return tuple(out)
+    return ex_witness(na, nc, nb, ~beta & ((1 << (na * nc)) - 1), ~alpha & ((1 << (na * nb)) - 1))
 
 
 def dial_witness(nb: int, nc: int, nb2: int, nc2: int, alpha: int, beta: int):
@@ -119,7 +96,7 @@ def dial_witness(nb: int, nc: int, nb2: int, nc2: int, alpha: int, beta: int):
 def _dial_greedy(f, nb, nc, nc2, alpha, beta):
     out = []
     for b in range(nb):
-        c = _first_clear(alpha >> (b * nc), nc)
+        c = _first_set(~alpha >> (b * nc), nc)
         brow = beta >> (f[b] * nc2)
         for c2 in range(nc2):
             if (brow >> c2) & 1:

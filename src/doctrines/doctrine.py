@@ -421,22 +421,11 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
             raise LoadError(f"{kind} table for {name!r} is ill-formed", law="map-table")
         return arrow, table
 
-    reindex_tables = {}
-    for name, block in _block(data, "reindex", {}).items():
-        arrow, table = table_for("reindex", name, block)
-        reindex_tables[arrow] = table
+    tables = {kind: dict(table_for(kind, name, block) for name, block in _block(data, kind, {}).items())
+              for kind in ("reindex", "exists", "forall")}
     for name, arrow in cat.names.items():
-        if arrow not in reindex_tables:
+        if arrow not in tables["reindex"]:
             raise LoadError(f"arrow {name!r} has no reindex table", law="map-table")
-
-    exists_tables = {}
-    for name, block in _block(data, "exists", {}).items():
-        arrow, table = table_for("exists", name, block)
-        exists_tables[arrow] = table
-    forall_tables = {}
-    for name, block in _block(data, "forall", {}).items():
-        arrow, table = table_for("forall", name, block)
-        forall_tables[arrow] = table
 
     try:
         caps = frozenset(_block(data, "capabilities", []))
@@ -446,7 +435,7 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
     if unknown:
         raise LoadError(f"unknown capability flags {sorted(unknown)}", law="capabilities")
 
-    doc = TabularDoctrine(cat, fibers, reindex_tables, exists_tables, forall_tables, caps)
+    doc = TabularDoctrine(cat, fibers, tables["reindex"], tables["exists"], tables["forall"], caps)
     if verify:
         from .laws import verify_doctrine
 

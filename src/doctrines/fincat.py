@@ -220,15 +220,10 @@ class SkelFinSet:
 
     @_canonical
     def theta(self, a, b, c) -> Arrow:
-        """(A x B) + (A x C) -> A x (B + C), canonical distributivity iso."""
-        table = []
-        for aa in range(a):
-            for bb in range(b):
-                table.append(aa * (b + c) + bb)
-        for aa in range(a):
-            for cc in range(c):
-                table.append(aa * (b + c) + b + cc)
-        return Arrow(a * b + a * c, a * (b + c), tuple(table))
+        """(A x B) + (A x C) -> A x (B + C), canonical distributivity iso
+        [1_A x inj1, 1_A x inj2]."""
+        ident = self.identity(a)
+        return self.copair(product_map(self, ident, self.inj1(b, c)), product_map(self, ident, self.inj2(b, c)))
 
     @_canonical
     def theta_inv(self, a, b, c) -> Arrow:
@@ -236,19 +231,11 @@ class SkelFinSet:
 
     @_canonical
     def theta_left(self, a, b, d) -> Arrow:
-        """(A x D) + (B x D) -> (A + B) x D, the mirrored distributivity iso.
-
-        Identity table under the offset/row-major encodings, constructed
-        explicitly all the same.
-        """
-        table = []
-        for aa in range(a):
-            for dd in range(d):
-                table.append(aa * d + dd)
-        for bb in range(b):
-            for dd in range(d):
-                table.append((a + bb) * d + dd)
-        return Arrow(a * d + b * d, (a + b) * d, tuple(table))
+        """(A x D) + (B x D) -> (A + B) x D, the mirrored distributivity iso
+        [inj1 x 1_D, inj2 x 1_D].  Identity table under the offset/row-major
+        encodings."""
+        ident = self.identity(d)
+        return self.copair(product_map(self, self.inj1(a, b), ident), product_map(self, self.inj2(a, b), ident))
 
     @_canonical
     def theta_left_inv(self, a, b, d) -> Arrow:
@@ -332,7 +319,6 @@ class TableCat:
         self._products = s.get("products", {})  # (a,b) -> (obj, proj1, proj2)
         self._coproducts = s.get("coproducts", {})
         self._exponentials = s.get("exponentials", {})  # (b,a) -> (obj, ev)
-        self._points = s.get("points", {})
         self._pairs = {}  # (f, g) -> <f, g>, one per cone of a chosen product
         self._copairs = {}  # (f, g) -> [f, g], one per cocone of a chosen coproduct
         _verify_structure(self)
@@ -598,9 +584,6 @@ def _load_structure(block, cards, names):
         for p in block.get("exponentials", []):
             key = (obj(p["base"], "exponential"), obj(p["exp"], "exponential"))
             s["exponentials"][key] = (obj(p["obj"], "exponential"), arrow_ref(p["ev"], "exponential"))
-        s["points"] = {}
-        for o, pts in block.get("points", {}).items():
-            s["points"][obj(o, "point")] = [arrow_ref(n, "point") for n in pts]
     except (AttributeError, KeyError, TypeError) as exc:
         raise LoadError(f"bad structure block: {exc!r}", law="structure-ref") from None
     return s
@@ -692,10 +675,6 @@ def _verify_structure(cat: TableCat):
                     f"currying into {b!r}^{a!r} is not a bijection at {x!r}",
                     law="exponential-universal-property",
                 )
-    for obj, pts in cat._points.items():
-        for p in pts:
-            if cat.terminal is None or p.dom != cat.terminal or p.cod != obj:
-                raise LoadError(f"point for {obj!r} has wrong endpoints", law="point-validity")
 
 
 def skel_category_json(max_card: int) -> dict:

@@ -73,7 +73,7 @@ from .doctrine import (
     powerset_doctrine,
 )
 from .errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
-from .fincat import SkelFinSet, times_identity
+from .fincat import Arrow, SkelFinSet, times_identity
 from .poset import Poset, lattice_check, poset_reflect
 from .principles import extract_choice, extract_counterexample, skolem_check
 from .report import FAIL, PASS, SKIPPED, LawReport, LawResult
@@ -794,10 +794,10 @@ def _law_skolem_sampled(ctx):
     comp = ctx.comp_ex
     rng = random.Random(ctx.seed)
     a1, a2, b = 2, 2, 3
-    carrier = a1 * a2 * b
+    preds = ctx.doctrine.fiber_elements(a1 * a2 * b)
     checked = 0
     for _ in range(40):
-        alpha = rng.randrange(1 << carrier)
+        alpha = preds[rng.randrange(len(preds))]
         checked += 1
         rep = skolem_check(comp, a1, a2, b, alpha)
         if not rep.equal:
@@ -808,25 +808,30 @@ def _law_skolem_sampled(ctx):
 def _law_choice(ctx, polarity):
     """The rule of choice (EX) or the counterexample property (UN): an
     arrow is extracted exactly when every a has some b with alpha(a, b)
-    (EX) or some b without it (UN), and it picks such a b."""
+    provable (EX) or refutable (UN) in the base fiber over 1, and it picks
+    such a b."""
     comp = ctx.completion(polarity)
     if not isinstance(comp.cat, SkelFinSet):
         raise CapabilityError("choice principles need the finite-sets base, whose objects are cardinalities")
     doc = ctx.doctrine
     extract = extract_choice if polarity == EX else extract_counterexample
-    hit = 1 if polarity == EX else 0
+
+    def holds(a, b, alpha, aa, bb):
+        p = doc.reindex(Arrow(1, a * b, (aa * b + bb,)), alpha)
+        return doc.fiber_leq(1, doc.top(1), p) if polarity == EX else doc.fiber_leq(1, p, doc.bottom(1))
+
     checked = 0
     for a in ctx.objects:
         for b in ctx.objects:
             for alpha in doc.fiber_elements(a * b):
                 checked += 1
                 arrow = extract(comp, comp.elem(a, b, alpha))
-                want = all(any((alpha >> (aa * b + bb) & 1) == hit for bb in range(b)) for aa in range(a))
+                want = all(any(holds(a, b, alpha, aa, bb) for bb in range(b)) for aa in range(a))
                 if (arrow is not None) != want:
                     return checked, {"a": a, "b": b, "alpha": alpha, "got": arrow is not None, "want": want}
                 if arrow is None:
                     continue
-                if not all((alpha >> (aa * b + arrow.table[aa]) & 1) == hit for aa in range(a)):
+                if not all(holds(a, b, alpha, aa, arrow.table[aa]) for aa in range(a)):
                     return checked, {"a": a, "b": b, "alpha": alpha, "kind": "unsound"}
     return checked, None
 

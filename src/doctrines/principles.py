@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .completion import EX, UN, Completion, QuantElem
 from .dialectica import eval_expand_arrow
-from .doctrine import CAP_LAT
+from .doctrine import CAP_LAT, op_doctrine
 from .errors import CapabilityError, WitnessValidationError
 from .fincat import Arrow, compose
 
@@ -29,48 +29,47 @@ def extract_choice(comp: Completion, x: QuantElem) -> Arrow | None:
     """Rule of choice: from top <= (exists b. alpha) recover f with
     top <= alpha(a, f(a)), validated before it is returned; None exactly
     when the existential is not provable."""
-    if comp.polarity != EX:
-        raise CapabilityError("choice extraction works in the existential completion")
-    if CAP_LAT not in comp.base.caps:
-        raise CapabilityError("rule of choice assumes base fibers with finite meets")
-    w = comp.leq(comp.top(x.base), x)
-    if w is None:
-        return None
-    f = _via_unit(comp.cat, w.arrow, x.base)
-    if not _choice_valid(comp, x, f):
-        raise WitnessValidationError(f"choice witness {f!r} failed semantic validation")
-    return f
-
-
-def _choice_valid(comp: Completion, x: QuantElem, f: Arrow) -> bool:
-    cat = comp.cat
-    graph = cat.pair(cat.identity(x.base), f)
-    return comp.base.fiber_leq(x.base, comp.base.top(x.base), comp.base.reindex(graph, x.pred))
+    return _extract(comp, x, EX)
 
 
 def extract_counterexample(comp: Completion, x: QuantElem) -> Arrow | None:
     """Counterexample property: from (forall b. alpha) <= bottom recover g
     with alpha(a, g(a)) <= bottom, validated before it is returned; None
     exactly when the universal is not refutable."""
-    if comp.polarity != UN:
-        raise CapabilityError("counterexample extraction works in the universal completion")
+    return _extract(comp, x, UN)
+
+
+# polarity -> (wrong-completion message, missing-lattice message, certificate name)
+_PRINCIPLES = {
+    EX: ("choice extraction works in the existential completion",
+         "rule of choice assumes base fibers with finite meets", "choice witness"),
+    UN: ("counterexample extraction works in the universal completion",
+         "counterexample property assumes base fibers with finite joins", "counterexample"),
+}
+
+
+def _extract(comp: Completion, x: QuantElem, polarity: str) -> Arrow | None:
+    """The arrow behind top <= x (EX) or x <= bottom (UN).  The UN
+    certificate is checked as its mirror: the EX condition over the
+    order-reversed base, whose top is the base's bottom."""
+    wrong_completion, missing_lattice, certificate = _PRINCIPLES[polarity]
+    if comp.polarity != polarity:
+        raise CapabilityError(wrong_completion)
     if CAP_LAT not in comp.base.caps:
-        raise CapabilityError("counterexample property assumes base fibers with finite joins")
-    w = comp.leq(x, comp.bottom(x.base))
+        raise CapabilityError(missing_lattice)
+    a = x.base
+    if polarity == EX:
+        w, doc = comp.leq(comp.top(a), x), comp.base
+    else:
+        w, doc = comp.leq(x, comp.bottom(a)), op_doctrine(comp.base)
     if w is None:
         return None
-    g = _via_unit(comp.cat, w.arrow, x.base)
-    if not _counterexample_valid(comp, x, g):
-        raise WitnessValidationError(f"counterexample {g!r} failed semantic validation")
-    return g
-
-
-def _counterexample_valid(comp: Completion, x: QuantElem, g: Arrow) -> bool:
     cat = comp.cat
-    graph = cat.pair(cat.identity(x.base), g)
-    return comp.base.fiber_leq(
-        x.base, comp.base.reindex(graph, x.pred), comp.base.bottom(x.base)
-    )
+    f = _via_unit(cat, w.arrow, a)
+    graph = cat.pair(cat.identity(a), f)
+    if not doc.fiber_leq(a, doc.top(a), doc.reindex(graph, x.pred)):
+        raise WitnessValidationError(f"{certificate} {f!r} failed semantic validation")
+    return f
 
 
 @dataclass

@@ -64,6 +64,12 @@ def dial_witness_scan(nb, nc, nb2, nc2, alpha, beta):
 SMALL = [0, 1, 2]
 
 
+def stray(n):
+    """Bits above a carrier of size n, which every kernel must ignore: UN
+    complements its masks, so a stray bit must not become a point."""
+    return 0b101 << n
+
+
 class TestAgainstScan:
     def test_ex_exhaustive(self):
         for na in SMALL:
@@ -73,6 +79,8 @@ class TestAgainstScan:
                         for beta in range(1 << (na * nc)):
                             want = ex_witness_scan(na, nb, nc, alpha, beta)
                             assert core.ex_witness(na, nb, nc, alpha, beta) == want
+                            strays = alpha | stray(na * nb), beta | stray(na * nc)
+                            assert core.ex_witness(na, nb, nc, *strays) == want
 
     def test_un_exhaustive(self):
         for na in SMALL:
@@ -82,6 +90,8 @@ class TestAgainstScan:
                         for beta in range(1 << (na * nc)):
                             want = un_witness_scan(na, nb, nc, alpha, beta)
                             assert core.un_witness(na, nb, nc, alpha, beta) == want
+                            strays = alpha | stray(na * nb), beta | stray(na * nc)
+                            assert core.un_witness(na, nb, nc, *strays) == want
 
     def test_dial_exhaustive_tiny(self):
         for nb in (0, 1, 2):

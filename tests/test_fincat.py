@@ -262,8 +262,7 @@ class TestLoader:
                             lambda d: d["arrows"].append(5)],
             "structure-ref": [lambda d: d["structure"]["products"][0].pop("right"),
                               lambda d: d["structure"].update(terminal=[1]),
-                              lambda d: d["structure"].update(terminal="n9"),
-                              lambda d: d["structure"].update(points=[])],
+                              lambda d: d["structure"].update(terminal="n9")],
             "format": [lambda d: d.update(arrows={}), lambda d: d.update(composition=[5]),
                        lambda d: d.update(structure=[])],
         }
@@ -314,7 +313,7 @@ class TestLoader:
     @staticmethod
     def full_structure_json():
         """skel_category_json(2) with the skeleton's own coproducts
-        (|A| + |B| <= 2), exponentials (|A x B^A| <= 2) and points added."""
+        (|A| + |B| <= 2) and exponentials (|A x B^A| <= 2) added."""
         def name(f):
             return f"a{f.dom}_{f.cod}_" + "_".join(map(str, f.table))
 
@@ -325,7 +324,6 @@ class TestLoader:
                            for a in range(3) for b in range(3) if a + b <= 2]
         s["exponentials"] = [{"base": f"n{b}", "exp": f"n{a}", "obj": f"n{b**a}", "ev": name(C.ev(b, a))}
                              for b in range(3) for a in range(3) if a * b**a <= 2]
-        s["points"] = {f"n{c}": [name(Arrow(1, c, (v,))) for v in range(c)] for c in range(3)}
         return data
 
     def test_full_structure_loads(self):
@@ -378,8 +376,6 @@ class TestLoader:
         # ev of n2^n1 must run n1 x n2 -> n2, this one ends in n1
         ("exponential-universal-property",
          lambda s: s.update(exponentials=[{"base": "n2", "exp": "n1", "obj": "n2", "ev": "a2_1_0_0"}])),
-        # a point of n2 must start at the terminal n1
-        ("point-validity", lambda s: s.update(points={"n2": ["a2_2_0_1"]})),
     ]
 
     @pytest.mark.parametrize("law, edit", BROKEN_STRUCTURE, ids=[row[0] for row in BROKEN_STRUCTURE])

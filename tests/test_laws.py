@@ -34,6 +34,15 @@ class TestSuitesPass:
         with pytest.raises(ValueError):
             run_suite("nonsense")
 
+    def test_every_law_passes_over_the_reversed_powerset(self):
+        # the choice oracles read provability in the doctrine's own order:
+        # over op(P) a point of alpha is provable when its bit is clear
+        rep = run_suite("all", LawContext(doctrine=op_doctrine(powerset_doctrine()), max_card=2, qmax=1))
+        assert [r.law for r in rep.results if r.status != PASS] == []
+        assert len(rep.results) == 48
+        laws = {r.law: r.checked for r in rep.results}
+        assert laws["rule-of-choice"] == laws["counterexample-property"] == 31
+
 
 class Swapped(PowersetDoctrine):
     """The powerset doctrine with its two adjoints along arrows exchanged,
