@@ -18,7 +18,7 @@ import json
 
 from . import core
 from .errors import CapabilityError, LoadError, SearchBudgetExceeded, natural
-from .fincat import Arrow, SkelFinSet, TableCat, _as_dict, _block, load_category
+from .fincat import Arrow, SkelFinSet, TableCat, _as_dict, _block, _known_keys, load_category
 from .poset import Preorder
 
 CAP_EX_PR = "existential-over-projections"
@@ -386,6 +386,7 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
     are checked and the first violation raises LoadError naming the law.
     """
     data = _as_dict(source)
+    _known_keys(data, ("category", "fibers", "reindex", "exists", "forall", "capabilities"), "a doctrine")
     if cat is None:
         catspec = data.get("category")
         if catspec is None:

@@ -438,6 +438,7 @@ def load_category(source) -> TableCat:
     re-verified; violations raise LoadError naming the broken law.
     """
     data = _as_dict(source)
+    _known_keys(data, ("objects", "arrows", "composition", "structure"), "a category")
     cards: dict = {}
     try:
         for o in data["objects"]:
@@ -547,6 +548,14 @@ def _block(data, key, default):
     return value
 
 
+def _known_keys(data, keys, what):
+    """LoadError naming the first key of `data` outside `keys`, so that a
+    misspelt block is refused instead of loading a weaker structure."""
+    for key in data:
+        if key not in keys:
+            raise LoadError(f"unknown key {key!r} in {what}; expected one of {', '.join(keys)}")
+
+
 def _name_of(names, arrow):
     for n, a in names.items():
         if a == arrow:
@@ -555,6 +564,8 @@ def _name_of(names, arrow):
 
 
 def _load_structure(block, cards, names):
+    _known_keys(block, ("terminal", "initial", "products", "coproducts", "exponentials"), "the structure block")
+
     def obj(name, what):
         if name not in cards:
             raise LoadError(f"{what} references unknown object {name!r}", law="structure-ref")

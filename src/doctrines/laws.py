@@ -37,6 +37,14 @@ footprint is two bits per ordered pair of each memo's interned elements
 plus one index entry per element, and a second run of the same laws adds
 neither memos nor elements.
 
+Within one law body each construction it repeats (reindexing, quantifier
+images, meets and joins, bounded fibers, composites, dialectica
+translations) is built once per argument tuple, through :func:`_once`.
+Its table lives only as long as the body: a context-wide table would keep
+every construction of a run alive and raise peak memory for little gain.
+The constructions are pure and a build that raises keeps no entry, so
+outcomes and check counts are what building afresh would give.
+
 Each universal property is checked in one place: :func:`_adjunction` for
 every quantifier adjunction, :func:`_universal` for every meet and join,
 and the paired exists/forall, meet/join and top/bottom sides of a law are
@@ -219,6 +227,21 @@ class LawContext:
 
     def elem_json(self, x: QuantElem):
         return self.completion(x.polarity).pred_to_json(x.base, x)
+
+
+def _once(build):
+    """The pure construction `build`, built once per argument tuple for as
+    long as the returned function lives, which is one law body.  A build
+    that raises leaves no entry, so asked again it raises again."""
+    built = {}
+
+    def once(*args):
+        value = built.get(args)
+        if value is None:
+            value = built[args] = build(*args)
+        return value
+
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +482,20 @@ def _law_leq_transitive(ctx, polarity):
 
 def _law_reindex_q_functorial(ctx, polarity):
     comp = ctx.completion(polarity)
+    compose, reindex, bounded = _once(comp.cat.compose), _once(comp.reindex), _once(comp.bounded_fiber)
     checked = 0
     arrows = list(ctx.arrows())
     for g in arrows:
-        for x in comp.bounded_fiber(g.cod, min(ctx.qmax, 1)):
+        for x in bounded(g.cod, min(ctx.qmax, 1)):
             checked += 1
-            if comp.reindex(comp.cat.identity(g.cod), x) != x:
+            if reindex(comp.cat.identity(g.cod), x) != x:
                 return checked, {"law": "identity", "x": ctx.elem_json(x)}
-            gx = comp.reindex(g, x)
+            gx = reindex(g, x)
             for f in arrows:
                 if f.cod != g.dom:
                     continue
                 checked += 1
-                if comp.reindex(f, gx) != comp.reindex(comp.cat.compose(g, f), x):
+                if reindex(f, gx) != reindex(compose(g, f), x):
                     return checked, {"f": list(f.table), "g": list(g.table), "x": ctx.elem_json(x)}
     return checked, None
 
@@ -551,11 +575,14 @@ def _law_bc_pr_strict(ctx, polarity, side):
     triples, not just up to mutual order.  On the existential completion
     the forall side is the exponential forall_pr_exp."""
     comp = ctx.completion(polarity)
-    quantify = comp.exists_pr if side == "exists" else comp.forall_pr
+    # reindexing is left unshared: few of its pairs repeat, and at qmax=3
+    # its table would raise the peak memory of the whole run by about 15%
+    quantify = _once(comp.exists_pr if side == "exists" else comp.forall_pr)
+    bounded = _once(comp.bounded_fiber)
     checked = 0
     for f, c, ac, fx1 in _pr_squares(ctx, comp.cat):
         d, a = f.dom, f.cod
-        for x in comp.bounded_fiber(ac, ctx.qmax):
+        for x in bounded(ac, ctx.qmax):
             checked += 1
             left = comp.reindex(f, quantify((a, c), x))
             right = quantify((d, c), comp.reindex(fx1, x))
@@ -568,13 +595,15 @@ def _law_bc_inj_strict(ctx, polarity):
     """Injection squares g = f+h commute with the injection adjoints as
     literal triples."""
     comp = ctx.completion(polarity)
+    sides = ("exists", _once(comp.exists_inj)), ("forall", _once(comp.forall_inj))
+    reindex, bounded = _once(comp.reindex), _once(comp.bounded_fiber)
     checked = 0
     for a, b, c, d, f, h, g in _inj_squares(ctx, comp.cat):
-        for x in comp.bounded_fiber(a, min(ctx.qmax, 1)):
+        for x in bounded(a, min(ctx.qmax, 1)):
             checked += 1
-            for side, quantify in (("exists", comp.exists_inj), ("forall", comp.forall_inj)):
-                left = quantify((c, d), comp.reindex(f, x))
-                right = comp.reindex(g, quantify((a, b), x))
+            for side, quantify in sides:
+                left = quantify((c, d), reindex(f, x))
+                right = reindex(g, quantify((a, b), x))
                 if left != right:
                     return checked, {"side": side, "f": list(f.table), "h": list(h.table),
                                      "a": a, "b": b, "c": c, "d": d, "x": ctx.elem_json(x)}
@@ -643,20 +672,21 @@ def _law_meet_join(ctx, polarity, op):
 def _law_reindex_lattice(ctx, polarity):
     """Reindexing preserves meets, joins, top and bottom up to mutual order."""
     comp = ctx.completion(polarity)
+    ops = ("meet", _once(comp.meet)), ("join", _once(comp.join))
+    reindex, bounded = _once(comp.reindex), _once(comp.bounded_fiber)
     checked = 0
     for f in ctx.arrows():
         d, a = f.dom, f.cod
-        elems = comp.bounded_fiber(a, min(ctx.qmax, 1))
+        elems = bounded(a, min(ctx.qmax, 1))
         checked += 2
         for op, bound in (("top", comp.top), ("bottom", comp.bottom)):
-            if not ctx.eq(comp.reindex(f, bound(a)), bound(d)):
+            if not ctx.eq(reindex(f, bound(a)), bound(d)):
                 return checked, {"f": list(f.table), "op": op}
         for x in elems:
             for y in elems:
                 checked += 2
-                for op, combine in (("meet", comp.meet), ("join", comp.join)):
-                    if not ctx.eq(comp.reindex(f, combine(a, x, y)),
-                                  combine(d, comp.reindex(f, x), comp.reindex(f, y))):
+                for op, combine in ops:
+                    if not ctx.eq(reindex(f, combine(a, x, y)), combine(d, reindex(f, x), reindex(f, y))):
                         return checked, {"f": list(f.table), "op": op, "x": ctx.elem_json(x),
                                          "y": ctx.elem_json(y)}
     return checked, None
@@ -846,12 +876,13 @@ def _law_dial_equivalence(ctx):
     every bounded pair, with translating witnesses."""
     doc = ctx.doctrine
     nested = ctx.nested
+    to_nested = _once(partial(dial_to_nested, nested))
     objs = bounded_dialobjs(doc, ctx.max_card)
     checked = 0
     for u in objs:
-        zu = dial_to_nested(nested, u)
+        zu = to_nested(u)
         for v in objs:
-            zv = dial_to_nested(nested, v)
+            zv = to_nested(v)
             checked += 1
             direct = dial_leq(doc, u, v, ctx.budget) is not None
             via_nested = ctx.le(zu, zv, nested)

@@ -254,6 +254,8 @@ class TestCheckDoctrine:
             lambda d: d.update(fibers=[]),
             lambda d: d["category"]["objects"][1].update(card=1.7),
             lambda d: d["reindex"].update({ident: [0.2, 1.9]}),
+            lambda d: d.update(exist={}),
+            lambda d: d["category"]["structure"].update(prodcuts=[]),
         ):
             code, _, err = run(capsys, "check-doctrine", self.make_doctrine_file(tmp_path, edit=edit))
             assert code == 3

@@ -264,6 +264,14 @@ class TestTabular:
             load_doctrine(data)
         assert e.value.law == "capabilities"
 
+    def test_unknown_top_level_key(self):
+        # a misspelt `exists` block is named, not dropped with its adjoints
+        data = tiny_doctrine_data(adjoints=True)
+        data["exist"] = data.pop("exists")
+        with pytest.raises(LoadError, match="unknown key 'exist'") as e:
+            load_doctrine(data)
+        assert e.value.law == "format"
+
     def test_all_caps_known(self):
         assert "existential-over-projections" in ALL_CAPS
 

@@ -279,6 +279,20 @@ class TestLoader:
             with pytest.raises(LoadError):
                 load_category(source)
 
+    def test_unknown_keys_refused(self):
+        # a misspelt block is named, not dropped: `prodcuts` would otherwise
+        # load a category without products
+        def typo(d):
+            d["structure"]["prodcuts"] = d["structure"].pop("products")
+
+        for edit, key in ((typo, "prodcuts"), (lambda d: d.update(arrow=[]), "arrow"),
+                          (lambda d: d["structure"].update(points=[]), "points")):
+            data = skel_category_json(2)
+            edit(data)
+            with pytest.raises(LoadError, match=f"unknown key '{key}'") as e:
+                load_category(data)
+            assert e.value.law == "format"
+
     # skel_category_json(2) declares no n2 x n2, no coproducts and no exponentials
     ID2 = Arrow("n2", "n2", (0, 1))
 

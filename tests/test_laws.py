@@ -9,7 +9,7 @@ from doctrines.completion import EX, UN, Completion
 from doctrines.doctrine import PowersetDoctrine, op_doctrine, powerset_doctrine
 from doctrines.errors import SearchBudgetExceeded
 from doctrines.fincat import SkelFinSet
-from doctrines.laws import SUITES, LawContext, _Order, run_laws, run_suite, verify_doctrine
+from doctrines.laws import SUITES, LawContext, _once, _Order, run_laws, run_suite, verify_doctrine
 from doctrines.report import FAIL, PASS, SKIPPED
 
 
@@ -394,6 +394,33 @@ class TestMemoOracle:
         assert kept and forgot == {}
         assert fresh == memoized
 
+    def test_law_table_builds_once_and_keeps_no_failure(self):
+        calls = []
+
+        def build(x):
+            calls.append(x)
+            if x < 0:
+                raise ValueError(x)
+            return [x]
+
+        once = _once(build)
+        assert once(1) is once(1) == [1]
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                once(-1)
+        assert calls == [1, -1, -1]
+
+    @pytest.mark.parametrize("doctrine", [PowersetDoctrine, StubbornNo])
+    def test_law_tables_change_no_outcome(self, doctrine, monkeypatch):
+        # the same whole report with every construction of a law body built
+        # afresh on each call
+        def report():
+            return run_suite("all", small_ctx(doctrine=doctrine())).to_dict(with_timing=False)
+
+        once = report()
+        monkeypatch.setattr("doctrines.laws._once", lambda build: build)
+        assert report() == once
+
 
 class WrongMeet(PowersetDoctrine):
     """The powerset doctrine with one wrong meet, over 2."""
@@ -492,15 +519,28 @@ FAILURES = {
 }
 
 
+def first_failures(doctrine):
+    """law -> (checked, counterexample) of every law the sabotage fails;
+    no law may be skipped."""
+    failed = {}
+    for suite in ("adjunctions", "beck-chevalley", "lattice", "skolem", "dialectica-oracle"):
+        for r in run_suite(suite, LawContext(doctrine(), max_card=2, qmax=1, seed=7)).results:
+            assert r.status != SKIPPED, r
+            if r.status == FAIL:
+                failed[r.law] = (r.checked, r.counterexample)
+    return failed
+
+
 class TestFailurePaths:
     @pytest.mark.parametrize("doctrine", list(FAILURES), ids=lambda d: d.__name__)
     def test_first_failure_pinned(self, doctrine):
         # each sabotage fails exactly these laws, each at the same check
         # with the same first counterexample, and skips nothing
-        failed = {}
-        for suite in ("adjunctions", "beck-chevalley", "lattice", "skolem", "dialectica-oracle"):
-            for r in run_suite(suite, LawContext(doctrine(), max_card=2, qmax=1, seed=7)).results:
-                assert r.status != SKIPPED, r
-                if r.status == FAIL:
-                    failed[r.law] = (r.checked, r.counterexample)
-        assert failed == FAILURES[doctrine]
+        assert first_failures(doctrine) == FAILURES[doctrine]
+
+    @pytest.mark.parametrize("doctrine", list(FAILURES), ids=lambda d: d.__name__)
+    def test_first_failure_pinned_without_law_tables(self, doctrine, monkeypatch):
+        # the same failures with every construction of a law body built
+        # afresh on each call
+        monkeypatch.setattr("doctrines.laws._once", lambda build: build)
+        assert first_failures(doctrine) == FAILURES[doctrine]
