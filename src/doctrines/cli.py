@@ -16,9 +16,9 @@ from .completion import EX, UN, Completion, QuantElem
 from .dialectica import DialObj, bounded_dialobjs, dial_leq, dial_preorder
 from .doctrine import load_doctrine, mask_from_indices, powerset_doctrine
 from .errors import DEFAULT_BUDGET, DoctrineError, LoadError, SearchBudgetExceeded, natural
-from .fincat import load_category, read_json
+from .fincat import _known_keys, load_category, read_json
 from .laws import SUITES, LawContext, run_suite, verify_doctrine
-from .poset import lattice_check, poset_reflect, to_dot
+from .poset import Poset, lattice_check, poset_reflect, to_dot
 from .principles import extract_choice, extract_counterexample, skolem_check
 
 EXIT_OK = 0
@@ -30,6 +30,7 @@ EXIT_BUDGET = 4
 
 def _load_elem(doc, text: str) -> QuantElem:
     data = read_json(text)
+    _known_keys(data, ("polarity", "base", "qobj", "pred"), "an element")
     try:
         polarity = data["polarity"]
         base = natural(data["base"], "base")
@@ -47,9 +48,10 @@ def _elem_json(doc, x: QuantElem) -> dict:
 
 def _load_dial(doc, text: str) -> DialObj:
     data = read_json(text)
+    _known_keys(data, ("src", "tgt", "pred"), "a dialectica object")
     try:
         src, tgt = natural(data["src"], "src"), natural(data["tgt"], "tgt")
-        return DialObj(src, tgt, doc.pred_from_json(doc.cat.product(src, tgt), data.get("pred", [])))
+        return DialObj(src, tgt, doc.pred_from_json(doc.cat.product(src, tgt), data["pred"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise LoadError(f"dialectica object needs src/tgt/pred: {exc}") from None
 
@@ -211,12 +213,9 @@ def _dispatch(args) -> int:
 
     if args.command == "reflect":
         comp = Completion(doc, args.polarity, budget)
-        pre = comp.bounded_preorder(args.base, args.bound)
-        labeled = type(pre)(
-            tuple(f"({x.qobj},{doc.pred_to_json(None, x.pred)})" for x in pre.labels),
-            pre.rows,
-        )
-        print(to_dot(labeled, name="fiber"), end="")
+        poset, _ = poset_reflect(comp.bounded_preorder(args.base, args.bound))
+        labels = tuple(f"({x.qobj},{doc.pred_to_json(None, x.pred)})" for x in poset.labels)
+        print(to_dot(Poset(labels, poset.rows), name="fiber"), end="")
         return EXIT_OK
 
     if args.command == "dial-leq":
@@ -237,11 +236,9 @@ def _dispatch(args) -> int:
     if args.command == "dial-lattice":
         objs = bounded_dialobjs(doc, args.bound)
         pre = dial_preorder(doc, objs, budget)
-        labeled = type(pre)(
-            tuple(f"({u.src},{u.tgt},{doc.pred_to_json(None, u.pred)})" for u in pre.labels),
-            pre.rows,
-        )
-        poset, _ = poset_reflect(labeled)
+        poset, _ = poset_reflect(pre)
+        labels = tuple(f"({u.src},{u.tgt},{doc.pred_to_json(None, u.pred)})" for u in poset.labels)
+        poset = Poset(labels, poset.rows)
         rep = lattice_check(poset)
         dot = to_dot(poset, name="dialectica")
         if args.dot:

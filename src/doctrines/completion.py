@@ -11,6 +11,11 @@ a witnessing arrow:
   UN:  (B, alpha) <= (C, beta)  iff  some g: A x C -> B has
          P_<pr, g>(alpha) <= beta    in the base fiber over A x C.
 
+P^un is the existential completion of op(P) read backwards: the UN line
+is the EX line over op(P) for (y, x), and the UN top, bottom, meet and
+join are the EX bottom, top, join and meet over op(P), so each has one
+body, written for EX.
+
 Every order decision, here and in the dialectica order, goes through one
 policy, :func:`decide`.  The base doctrine's kernel hook
 (`ex_witness`/`un_witness`/`dial_witness`) answers first: "no" is final,
@@ -38,6 +43,7 @@ from .doctrine import (
     CAP_INJ_RIGHT,
     CAP_LAT,
     CAP_UN_PR,
+    _SWAPPED_CAPS,
     Doctrine,
     op_doctrine,
 )
@@ -47,6 +53,7 @@ from .poset import Preorder
 
 EX = "EX"
 UN = "UN"
+_DIRECTION = {EX: "f: AxB -> C", UN: "g: AxC -> B"}
 
 
 class QuantElem(NamedTuple):
@@ -99,12 +106,13 @@ def decide(answer, certify, x, y, scan, *scan_args):
 class Completion(Doctrine):
     """The doctrine P^ex (polarity EX) or P^un (polarity UN) over `base`.
 
-    Capabilities are derived from the base doctrine: the freely added
-    quantifier is always present; the opposite quantifier along
-    projections needs a universal base and exponentials (EX side only);
-    injection adjoints and lattice structure need the corresponding base
-    adjoints, with constants of the base category backing the adjunction
-    arguments.
+    Both are the existential completion of `_ex_base` (`base` for EX,
+    op(base) for UN), UN read backwards.  Capabilities are those of that
+    existential completion, swapped back for UN: the free quantifier is
+    always present; injection adjoints and lattice structure need the
+    corresponding base adjoints, with constants of the base category
+    backing the adjunction arguments.  The opposite quantifier along
+    projections needs a universal base and exponentials (EX side only).
 
     `budget` caps every enumerative scan of this completion's order
     decisions (None: DEFAULT_BUDGET); kernel answers spend none of it.
@@ -113,21 +121,19 @@ class Completion(Doctrine):
     def __init__(self, base: Doctrine, polarity: str, budget: int | None = None):
         if polarity not in (EX, UN):
             raise ValueError(f"polarity must be EX or UN, got {polarity!r}")
-        caps = set()
-        caps.add(CAP_EX_PR if polarity == EX else CAP_UN_PR)
-        if polarity == EX and CAP_UN_PR in base.caps and base.cat.has_exponentials:
-            caps.add(CAP_UN_PR)
-        if CAP_INJ_LEFT in base.caps:
-            caps.add(CAP_INJ_LEFT)
-        if CAP_INJ_RIGHT in base.caps:
-            caps.add(CAP_INJ_RIGHT)
-        needed_inj = CAP_INJ_LEFT if polarity == EX else CAP_INJ_RIGHT
-        if CAP_LAT in base.caps and needed_inj in base.caps:
+        ex_base = base if polarity == EX else op_doctrine(base)
+        caps = {CAP_EX_PR} | (ex_base.caps & {CAP_INJ_LEFT, CAP_INJ_RIGHT})
+        if {CAP_LAT, CAP_INJ_LEFT} <= ex_base.caps:
             caps.add(CAP_LAT)
+        if polarity == UN:
+            caps = {_SWAPPED_CAPS[c] for c in caps}
+        elif CAP_UN_PR in base.caps and base.cat.has_exponentials:
+            caps.add(CAP_UN_PR)
         super().__init__(base.cat, caps)
         self.base = base
         self.polarity = polarity
         self.budget = budget
+        self._ex_base = ex_base
 
     # -- element plumbing ----------------------------------------------
 
@@ -151,17 +157,15 @@ class Completion(Doctrine):
         witnessing arrow, certified once, or None (the kernel's "no", or a
         complete scan without a hit)."""
         self._check_pair(x, y)
-        cat = self.cat
+        # x <= y as a pair of the existential completion of `_ex_base`
+        lo, hi = (x, y) if self.polarity == EX else (y, x)
         a = x.base
-        if self.polarity == EX:
-            src, tgt, hook, direction = cat.product(a, x.qobj), y.qobj, self.base.ex_witness, "f: AxB -> C"
-        else:
-            src, tgt, hook, direction = cat.product(a, y.qobj), x.qobj, self.base.un_witness, "g: AxC -> B"
-        answer = hook(a, x.qobj, y.qobj, x.pred, y.pred)
+        src = self.cat.product(a, lo.qobj)
+        answer = self._ex_base.ex_witness(a, lo.qobj, hi.qobj, lo.pred, hi.pred)
         if answer is not None and answer is not NotImplemented:
-            answer = Arrow(src, tgt, tuple(answer))
-        arrow = decide(answer, self.certifies, x, y, cat.iter_hom, src, tgt, self.budget)
-        return None if arrow is None else WitnessArrow(arrow, direction)
+            answer = Arrow(src, hi.qobj, tuple(answer))
+        arrow = decide(answer, self.certifies, x, y, self.cat.iter_hom, src, hi.qobj, self.budget)
+        return None if arrow is None else WitnessArrow(arrow, _DIRECTION[self.polarity])
 
     def fiber_leq(self, a, x, y) -> bool:
         return self.leq(x, y) is not None
@@ -169,11 +173,10 @@ class Completion(Doctrine):
     def certifies(self, x: QuantElem, y: QuantElem, arrow: Arrow) -> bool:
         """Does `arrow` witness x <= y?  Checked via the defining base
         inequality, not via the search that produced it."""
-        if self.polarity == EX:
-            graph = graph_pr1(self.cat, x.base, x.qobj, arrow)
-            return self.base.fiber_leq(graph.dom, x.pred, self.base.reindex(graph, y.pred))
-        graph = graph_pr1(self.cat, x.base, y.qobj, arrow)
-        return self.base.fiber_leq(graph.dom, self.base.reindex(graph, x.pred), y.pred)
+        lo, hi = (x, y) if self.polarity == EX else (y, x)
+        ex_base = self._ex_base
+        graph = graph_pr1(self.cat, lo.base, lo.qobj, arrow)
+        return ex_base.fiber_leq(graph.dom, lo.pred, ex_base.reindex(graph, hi.pred))
 
     # -- reindexing ------------------------------------------------------
 
@@ -237,54 +240,47 @@ class Completion(Doctrine):
     # -- lattice structure -------------------------------------------------
 
     def top(self, a) -> QuantElem:
-        cat = self.cat
-        if self.polarity == EX:
-            t = cat.terminal
-            return self.elem(a, t, self.base.top(cat.product(a, t)))
-        z = cat.initial
-        return self.elem(a, z, self.base.bottom(cat.product(a, z)))
+        return self._free_top(a) if self.polarity == EX else self._free_bottom(a)
 
     def bottom(self, a) -> QuantElem:
-        cat = self.cat
-        if self.polarity == EX:
-            z = cat.initial
-            return self.elem(a, z, self.base.bottom(cat.product(a, z)))
-        t = cat.terminal
-        return self.elem(a, t, self.base.bottom(cat.product(a, t)))
-
-    def _pointwise_pair(self, a, x: QuantElem, y: QuantElem):
-        """Both predicates transported into the fiber over A x (B x C)."""
-        b, c = x.qobj, y.qobj
-        to_b, to_c = _pointwise_transports(self.cat, a, b, c)
-        return self.cat.product(b, c), self.base.reindex(to_b, x.pred), self.base.reindex(to_c, y.pred)
+        return self._free_bottom(a) if self.polarity == EX else self._free_top(a)
 
     def meet(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
         self._check_pair(x, y)
-        cat = self.cat
-        if self.polarity == EX:
-            bc, px, py = self._pointwise_pair(a, x, y)
-            return self.elem(a, bc, self.base.meet(cat.product(a, bc), px, py))
-        return self._sum_combine(a, x, y, self.base.forall_inj, self.base.meet)
+        return self._pointwise(a, x, y) if self.polarity == EX else self._summed(a, x, y)
 
     def join(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
         self._check_pair(x, y)
-        cat = self.cat
-        if self.polarity == UN:
-            bc, px, py = self._pointwise_pair(a, x, y)
-            return self.elem(a, bc, self.base.join(cat.product(a, bc), px, py))
-        return self._sum_combine(a, x, y, self.base.exists_inj, self.base.join)
+        return self._summed(a, x, y) if self.polarity == EX else self._pointwise(a, x, y)
 
-    def _sum_combine(self, a, x: QuantElem, y: QuantElem, quantify, combine) -> QuantElem:
-        """(A, B+C, theta-transport of Q_j(x) combined with Q_j(y)), Q the
-        base's injection adjoint `quantify` and `combine` its meet or join."""
-        cat = self.cat
+    def _free_top(self, a) -> QuantElem:
+        t = self.cat.terminal
+        return self.elem(a, t, self._ex_base.top(self.cat.product(a, t)))
+
+    def _free_bottom(self, a) -> QuantElem:
+        """(A, 0, bottom).  The predicate is `base.bottom` on both
+        polarities: over op(base) it would be another triple of the same
+        one-class fiber over A x 0."""
+        z = self.cat.initial
+        return self.elem(a, z, self.base.bottom(self.cat.product(a, z)))
+
+    def _pointwise(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
+        """(A, B x C, meet of both predicates moved over A x (B x C))."""
+        cat, ex_base = self.cat, self._ex_base
+        bc = cat.product(x.qobj, y.qobj)
+        to_b, to_c = _pointwise_transports(cat, a, x.qobj, y.qobj)
+        return self.elem(a, bc, ex_base.meet(cat.product(a, bc), ex_base.reindex(to_b, x.pred),
+                                             ex_base.reindex(to_c, y.pred)))
+
+    def _summed(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
+        """(A, B + C, theta-transport of exists_j(x) joined with exists_j(y))."""
+        cat, ex_base = self.cat, self._ex_base
         b, c = x.qobj, y.qobj
         ab, ac = cat.product(a, b), cat.product(a, c)
-        left = quantify((ab, ac), x.pred)
-        right = self.base.reindex(_swap_coproduct(cat, ab, ac), quantify((ac, ab), y.pred))
-        combined = combine(cat.coproduct(ab, ac), left, right)
-        theta_inv = cat.theta_inv(a, b, c)
-        return self.elem(a, cat.coproduct(b, c), self.base.reindex(theta_inv, combined))
+        left = ex_base.exists_inj((ab, ac), x.pred)
+        right = ex_base.reindex(_swap_coproduct(cat, ab, ac), ex_base.exists_inj((ac, ab), y.pred))
+        joined = ex_base.join(cat.coproduct(ab, ac), left, right)
+        return self.elem(a, cat.coproduct(b, c), ex_base.reindex(cat.theta_inv(a, b, c), joined))
 
     # -- monad structure -----------------------------------------------------
 

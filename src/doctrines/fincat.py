@@ -45,7 +45,10 @@ Every other map that depends on arrows is built on every call.  On
 :class:`SkelFinSet` ``compose``, ``pair``, ``copair`` and ``product_map``
 are each one pass of table arithmetic; ``f x g`` is the row-major table
 ``f(a)*|B'| + g(b)``.
-A :class:`TableCat` verifies its declared structure when it is built and
+A :class:`TableCat` verifies its declared structure when it is built: a
+chosen product by grouping, for each object X, the arrows X -> A x B by
+the cone they mediate, which must hit every cone once; a coproduct by the
+same routine on the opposite category; an exponential by currying.  It
 keeps the one mediating arrow of every cone and cocone: ``pair`` and
 ``copair`` look that arrow up, and ``product_map`` is built from them as
 ``<f . pr1, g . pr2>``.  The distributivity isos exist on finite sets only;
@@ -303,8 +306,9 @@ class TableCat:
     Hom-sets are arbitrary subsets of all functions between the carriers
     (closed under composition and containing identities), so declared
     limit/colimit structure is honest data.  Construction verifies it by
-    mediating-arrow enumeration and keeps the one mediating arrow of every
-    cone and cocone, which is what ``pair`` and ``copair`` return.
+    mediating-arrow enumeration, a coproduct as a product of the opposite
+    category, and keeps the one mediating arrow of every cone and cocone,
+    which is what ``pair`` and ``copair`` return.
     """
 
     def __init__(self, cards, homs, names, structure=None):
@@ -581,16 +585,12 @@ def _load_structure(block, cards, names):
         for key in ("terminal", "initial"):
             if key in block:
                 s[key] = obj(block[key], key)
-        s["products"] = {}
-        for p in block.get("products", []):
-            key = (obj(p["left"], "product"), obj(p["right"], "product"))
-            s["products"][key] = (obj(p["obj"], "product"), arrow_ref(p["proj1"], "product"),
-                                  arrow_ref(p["proj2"], "product"))
-        s["coproducts"] = {}
-        for p in block.get("coproducts", []):
-            key = (obj(p["left"], "coproduct"), obj(p["right"], "coproduct"))
-            s["coproducts"][key] = (obj(p["obj"], "coproduct"), arrow_ref(p["inj1"], "coproduct"),
-                                    arrow_ref(p["inj2"], "coproduct"))
+        for kind, legs in (("products", ("proj1", "proj2")), ("coproducts", ("inj1", "inj2"))):
+            what = kind[:-1]
+            s[kind] = {}
+            for p in block.get(kind, []):
+                key = (obj(p["left"], what), obj(p["right"], what))
+                s[kind][key] = (obj(p["obj"], what), *(arrow_ref(p[leg], what) for leg in legs))
         s["exponentials"] = {}
         for p in block.get("exponentials", []):
             key = (obj(p["base"], "exponential"), obj(p["exp"], "exponential"))
@@ -604,62 +604,18 @@ def _verify_structure(cat: TableCat):
     """Check every declared universal property by enumeration, recording
     the unique mediating arrow of each cone and cocone on `cat`."""
     objs = cat.objects()
-    if cat.terminal is not None:
+    # an initial object is a terminal object of the opposite category
+    for kind, end, flip in (("terminal", cat.terminal, False), ("initial", cat.initial, True)):
+        if end is None:
+            continue
         for x in objs:
-            if len(cat.hom(x, cat.terminal)) != 1:
-                raise LoadError(
-                    f"Hom({x!r}, {cat.terminal!r}) is not a singleton",
-                    law="terminal-universal-property",
-                )
-    if cat.initial is not None:
-        for x in objs:
-            if len(cat.hom(cat.initial, x)) != 1:
-                raise LoadError(
-                    f"Hom({cat.initial!r}, {x!r}) is not a singleton",
-                    law="initial-universal-property",
-                )
-    for (a, b), (obj, p1, p2) in cat._products.items():
-        if p1.dom != obj or p1.cod != a or p2.dom != obj or p2.cod != b:
-            raise LoadError(
-                f"projections of product ({a!r},{b!r}) have wrong endpoints",
-                law="product-universal-property",
-            )
-        for x in objs:
-            for f in cat.hom(x, a):
-                for g in cat.hom(x, b):
-                    ms = [
-                        m
-                        for m in cat.hom(x, obj)
-                        if compose(p1, m) == f and compose(p2, m) == g
-                    ]
-                    if len(ms) != 1:
-                        raise LoadError(
-                            f"product ({a!r},{b!r}): cone from {x!r} has "
-                            f"{len(ms)} mediating arrows",
-                            law="product-universal-property",
-                        )
-                    cat._pairs[f, g] = ms[0]
-    for (a, b), (obj, j1, j2) in cat._coproducts.items():
-        if j1.dom != a or j1.cod != obj or j2.dom != b or j2.cod != obj:
-            raise LoadError(
-                f"injections of coproduct ({a!r},{b!r}) have wrong endpoints",
-                law="coproduct-universal-property",
-            )
-        for x in objs:
-            for f in cat.hom(a, x):
-                for g in cat.hom(b, x):
-                    ms = [
-                        m
-                        for m in cat.hom(obj, x)
-                        if compose(m, j1) == f and compose(m, j2) == g
-                    ]
-                    if len(ms) != 1:
-                        raise LoadError(
-                            f"coproduct ({a!r},{b!r}): cocone to {x!r} has "
-                            f"{len(ms)} mediating arrows",
-                            law="coproduct-universal-property",
-                        )
-                    cat._copairs[f, g] = ms[0]
+            src, dst = (end, x) if flip else (x, end)
+            if len(cat.hom(src, dst)) != 1:
+                raise LoadError(f"Hom({src!r}, {dst!r}) is not a singleton", law=f"{kind}-universal-property")
+    _record_mediators(objs, cat.hom, compose, cat._products, cat._pairs, "product", "projections", "cone from")
+    # a coproduct is a product of the opposite category
+    _record_mediators(objs, lambda x, y: cat.hom(y, x), lambda g, f: compose(f, g),
+                      cat._coproducts, cat._copairs, "coproduct", "injections", "cocone to")
     # the currying check pairs through the chosen products, so every
     # product's mediating arrows must be recorded above before it runs
     for (b, a), (obj, evm) in cat._exponentials.items():
@@ -686,6 +642,27 @@ def _verify_structure(cat: TableCat):
                     f"currying into {b!r}^{a!r} is not a bijection at {x!r}",
                     law="exponential-universal-property",
                 )
+
+
+def _record_mediators(objs, hom, comp, chosen, recorded, kind, legs, cone):
+    """Check each chosen (obj, p1, p2) of (a, b) as a product in the
+    category with hom-sets `hom(x, y)` and composition `comp(g, f)`, and
+    record the one mediating arrow of every cone (f, g) in `recorded`.
+    `kind`, `legs` and `cone` only word the LoadError."""
+    law = f"{kind}-universal-property"
+    for (a, b), (obj, p1, p2) in chosen.items():
+        if p1 not in hom(obj, a) or p2 not in hom(obj, b):
+            raise LoadError(f"{legs} of {kind} ({a!r},{b!r}) have wrong endpoints", law=law)
+        for x in objs:
+            mediators = {}
+            for m in hom(x, obj):
+                mediators.setdefault((comp(p1, m), comp(p2, m)), []).append(m)
+            for f in hom(x, a):
+                for g in hom(x, b):
+                    ms = mediators.get((f, g), ())
+                    if len(ms) != 1:
+                        raise LoadError(f"{kind} ({a!r},{b!r}): {cone} {x!r} has {len(ms)} mediating arrows", law=law)
+                    recorded[f, g] = ms[0]
 
 
 def skel_category_json(max_card: int) -> dict:

@@ -48,7 +48,8 @@ class TestLeq:
         for bad in ('{"polarity": "EX"}', '{"polarity": "XX"}', elem("EX", 1, 1, 5),
                     elem("EX", -1, 1, []), elem("EX", 1, -1, []), elem("EX", "one", 1, []),
                     elem("EX", 1.7, 1, []), elem("EX", 1, True, []), elem("EX", 1, 2, [1.7]),
-                    elem("EX", 1, 2, [True])):
+                    elem("EX", 1, 2, [True]),
+                    json.dumps({"polarity": "EX", "base": 1, "qobj": 1, "pred": [0], "qboj": 5})):
             code, _, err = run(capsys, "leq", bad, elem("EX", 1, 1, [0]))
             assert code == 3
             assert "input error" in err
@@ -124,6 +125,9 @@ class TestDialectica:
             {"src": 2, "tgt": -1, "pred": []},
             {"src": 2.9, "tgt": 1, "pred": []},
             {"src": 2},
+            # a misspelt or missing predicate is not the empty one
+            {"src": 2, "tgt": 2, "prde": [0, 1, 2, 3]},
+            {"src": 2, "tgt": 2},
             [2, 2],
         ):
             code, _, err = run(capsys, "dial-leq", json.dumps(bad), good)

@@ -9,6 +9,7 @@ from doctrines.completion import (
     EX,
     UN,
     Completion,
+    QuantElem,
     dual_completion,
     duality_transport,
 )
@@ -279,6 +280,47 @@ class TestLattice:
                 x = un.elem(2, q, pred)
                 assert un.leq(x, t) is not None
                 assert un.leq(b, x) is not None
+
+
+    @staticmethod
+    def evaluate(x):
+        """The subset of A where the element holds, read off the powerset
+        directly: EX is a -> exists b. alpha(a, b), UN is a -> forall b."""
+        quant = any if x.polarity == EX else all
+        return sum(1 << a for a in range(x.base)
+                   if quant((x.pred >> (a * x.qobj + b)) & 1 for b in range(x.qobj)))
+
+    @pytest.mark.parametrize("comp", [ex, un], ids=[EX, UN])
+    def test_operations_against_evaluation(self, comp):
+        # an oracle that never goes through op(P): evaluation into the
+        # powerset sends the lattice operations to intersection, union,
+        # the full set and the empty set, and is monotone in the order
+        pairs = 0
+        for a in range(3):
+            full = (1 << a) - 1
+            assert self.evaluate(comp.top(a)) == full
+            assert self.evaluate(comp.bottom(a)) == 0
+            fiber = comp.bounded_fiber(a, 2)
+            for x in fiber:
+                ex_ = self.evaluate(x)
+                for y in fiber:
+                    ey = self.evaluate(y)
+                    assert self.evaluate(comp.meet(a, x, y)) == ex_ & ey, (x, y)
+                    assert self.evaluate(comp.join(a, x, y)) == ex_ | ey, (x, y)
+                    if comp.leq(x, y) is not None:
+                        assert ex_ & ~ey == 0, (x, y)
+                    pairs += 1
+        assert pairs == 499
+
+    def test_nested_universal_top_bottom_pinned(self):
+        # the quantifier over 0 keeps the base's bottom as its predicate
+        # at both levels; read through op(P) the outer top would take the
+        # inner top, an equivalent element but another triple
+        unun = Completion(un, UN)
+        assert unun.top(1) == QuantElem(UN, 1, 0, QuantElem(UN, 0, 1, 0))
+        assert unun.bottom(1) == QuantElem(UN, 1, 1, QuantElem(UN, 1, 1, 0))
+        assert unun.top(2) == QuantElem(UN, 2, 0, QuantElem(UN, 0, 1, 0))
+        assert unun.bottom(2) == QuantElem(UN, 2, 1, QuantElem(UN, 2, 1, 0))
 
 
 class TestInjectionQuantifiers:
