@@ -28,9 +28,18 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _load_elem(doc, text: str) -> QuantElem:
+def _read_object(text: str, keys: tuple, what: str) -> dict:
+    """`text` (inline JSON or a file path) as a JSON object with no key
+    outside `keys`; LoadError naming them when it is anything else."""
     data = read_json(text)
-    _known_keys(data, ("polarity", "base", "qobj", "pred"), "an element")
+    if not isinstance(data, dict):
+        raise LoadError(f"{what} is a JSON object with keys {', '.join(keys)}, got {data!r}")
+    _known_keys(data, keys, what)
+    return data
+
+
+def _load_elem(doc, text: str) -> QuantElem:
+    data = _read_object(text, ("polarity", "base", "qobj", "pred"), "an element")
     try:
         polarity = data["polarity"]
         base = natural(data["base"], "base")
@@ -47,8 +56,7 @@ def _elem_json(doc, x: QuantElem) -> dict:
 
 
 def _load_dial(doc, text: str) -> DialObj:
-    data = read_json(text)
-    _known_keys(data, ("src", "tgt", "pred"), "a dialectica object")
+    data = _read_object(text, ("src", "tgt", "pred"), "a dialectica object")
     try:
         src, tgt = natural(data["src"], "src"), natural(data["tgt"], "tgt")
         return DialObj(src, tgt, doc.pred_from_json(doc.cat.product(src, tgt), data["pred"]))

@@ -16,7 +16,7 @@ is the EX line over op(P) for (y, x), and the UN top, bottom, meet and
 join are the EX bottom, top, join and meet over op(P), so each has one
 body, written for EX.
 
-Every order decision, here and in the dialectica order, goes through one
+Every order decision, here and in the dialectica order, follows one
 policy, :func:`decide`.  The base doctrine's kernel hook
 (`ex_witness`/`un_witness`/`dial_witness`) answers first: "no" is final,
 and a certificate is re-checked against the defining inequality, so the
@@ -27,6 +27,10 @@ first that certifies, so certificates are canonical either way.  A
 negative answer from the scan is only ever the result of a complete
 scan: a scan that would run past the completion's budget raises
 SearchBudgetExceeded instead.  Kernels spend no budget.
+:meth:`Completion.leq`, the hot path of every law run, applies the kernel
+half of that policy inline; scans start only in `decide`.  Hooks and
+`certifies` are looked up on every call, never bound ahead, so a method
+replaced on its class later (a tracer, a test) sees every decision.
 
 Completion fibers over a nontrivial base are infinite.  `bounded_fiber`
 materializes the sub-preorder of elements whose quantified object has
@@ -82,7 +86,8 @@ class WitnessArrow(NamedTuple):
 
 
 def decide(answer, certify, x, y, scan, *scan_args):
-    """The order-decision policy shared by every witness search.
+    """The order-decision policy shared by every witness search (the
+    kernel route of :meth:`Completion.leq` applies its kernel half inline).
 
     `answer` is the kernel hook's reply for x <= y: None (a definite
     "no"), a certificate, or NotImplemented (no kernel for this doctrine).
@@ -99,8 +104,12 @@ def decide(answer, certify, x, y, scan, *scan_args):
                 return cand
         return None
     if answer is not None and not certify(x, y, answer):
-        raise WitnessValidationError(f"kernel returned {answer!r} for {x!r} <= {y!r}, but it does not certify")
+        raise _uncertified(answer, x, y)
     return answer
+
+
+def _uncertified(answer, x, y) -> WitnessValidationError:
+    return WitnessValidationError(f"kernel returned {answer!r} for {x!r} <= {y!r}, but it does not certify")
 
 
 class Completion(Doctrine):
@@ -155,17 +164,32 @@ class Completion(Doctrine):
     def leq(self, x: QuantElem, y: QuantElem) -> WitnessArrow | None:
         """Decide x <= y under :func:`decide`: the lexicographically first
         witnessing arrow, certified once, or None (the kernel's "no", or a
-        complete scan without a hit)."""
-        self._check_pair(x, y)
+        complete scan without a hit).
+
+        The kernel route is one hook call, one :meth:`certifies` call and
+        one WitnessArrow around the hook's own tuple; a "no" returns before
+        anything is built.  Only a hook that returns NotImplemented goes
+        through :func:`decide`, which runs the scan.
+        """
+        polarity = self.polarity
+        if x.polarity != polarity or y.polarity != polarity or x.base != y.base:
+            self._check_pair(x, y)
         # x <= y as a pair of the existential completion of `_ex_base`
-        lo, hi = (x, y) if self.polarity == EX else (y, x)
+        lo, hi = (x, y) if polarity == EX else (y, x)
         a = x.base
-        src = self.cat.product(a, lo.qobj)
         answer = self._ex_base.ex_witness(a, lo.qobj, hi.qobj, lo.pred, hi.pred)
-        if answer is not None and answer is not NotImplemented:
-            answer = Arrow(src, hi.qobj, tuple(answer))
-        arrow = decide(answer, self.certifies, x, y, self.cat.iter_hom, src, hi.qobj, self.budget)
-        return None if arrow is None else WitnessArrow(arrow, _DIRECTION[self.polarity])
+        if answer is None:
+            return None
+        src = self.cat.product(a, lo.qobj)
+        if answer is NotImplemented:
+            arrow = decide(answer, self.certifies, x, y, self.cat.iter_hom, src, hi.qobj, self.budget)
+            if arrow is None:
+                return None
+        else:
+            arrow = Arrow(src, hi.qobj, answer)
+            if not self.certifies(x, y, arrow):
+                raise _uncertified(arrow, x, y)
+        return WitnessArrow(arrow, _DIRECTION[polarity])
 
     def fiber_leq(self, a, x, y) -> bool:
         return self.leq(x, y) is not None

@@ -7,7 +7,11 @@ maps to a*nb + b.
 Each kernel returns the lexicographically least witness table.  In
 ``ex_witness`` the admissible values at distinct table positions are
 independent of each other, so the least witness is the pointwise minimum
-and the kernel is linear in the carrier size.  ``un_witness`` is
+and the kernel is linear in the carrier size.  It works one row (one
+point a of A) at a time.  A position (a, b) in alpha takes c, the first
+point of beta's row a, and every other position takes 0.  So a row is a
+run of zeros when alpha's row a is empty or c is 0, and "no" when
+alpha's row a is not empty but beta's is.  ``un_witness`` is
 ``ex_witness`` through complement: g: A x C -> B witnesses the universal
 order exactly when it sends every point outside beta to a point outside
 alpha.  Only ``dial_witness`` is not linear: it scans the forward map f
@@ -34,24 +38,28 @@ def ex_witness(na: int, nb: int, nc: int, alpha: int, beta: int):
     alpha is a mask over A x B, beta over A x C.  Returns the table as a
     tuple, or None when no table qualifies.
     """
-    n = na * nb
-    if n == 0:
+    if na * nb == 0:
         return ()
     if nc == 0:
         return None
-    out = []
-    pos = 0
-    for a in range(na):
-        c = _first_set(beta >> (a * nc), nc)
-        for _b in range(nb):
-            if (alpha >> pos) & 1:
-                if c < 0:
-                    return None
-                out.append(c)
-            else:
-                out.append(0)
-            pos += 1
-    return tuple(out)
+    row_mask = (1 << nb) - 1
+    col_mask = (1 << nc) - 1
+    zeros = (0,) * nb
+    out = ()
+    for _ in range(na):
+        row = alpha & row_mask
+        alpha >>= nb
+        col = beta & col_mask
+        beta >>= nc
+        if row:
+            if not col:
+                return None
+            c = (col & -col).bit_length() - 1
+            if c:
+                out += tuple([c if (row >> b) & 1 else 0 for b in range(nb)])
+                continue
+        out += zeros
+    return out
 
 
 def un_witness(na: int, nb: int, nc: int, alpha: int, beta: int):

@@ -97,11 +97,11 @@ class Doctrine:
     # -- fast order-decision hooks -------------------------------------
 
     def ex_witness(self, a, b, c, alpha, beta):
-        """Least f: AxB -> C with alpha <= P_<pr,f>(beta), as a table, or None."""
+        """Least f: AxB -> C with alpha <= P_<pr,f>(beta), as a table tuple, or None."""
         return NotImplemented
 
     def un_witness(self, a, b, c, alpha, beta):
-        """Least g: AxC -> B with P_<pr,g>(alpha) <= beta, as a table, or None."""
+        """Least g: AxC -> B with P_<pr,g>(alpha) <= beta, as a table tuple, or None."""
         return NotImplemented
 
     def dial_witness(self, b, c, b2, c2, alpha, beta):
@@ -178,9 +178,11 @@ class PowersetDoctrine(Doctrine):
 
     def reindex(self, f: Arrow, p):
         out = 0
-        for i, v in enumerate(f.table):
+        bit = 1
+        for v in f.table:
             if (p >> v) & 1:
-                out |= 1 << i
+                out |= bit
+            bit <<= 1
         return out
 
     def top(self, a):

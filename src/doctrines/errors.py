@@ -19,7 +19,12 @@ def natural(value, what="value") -> int:
     Also the argparse `type` of such options, where a ValueError becomes a
     usage error (exit code 3).
     """
-    n = int(value) if isinstance(value, str) else value
+    n = value
+    if isinstance(value, str):
+        try:
+            n = int(value)
+        except ValueError:
+            n = None
     if type(n) is not int or n < 0:
         raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
     return n

@@ -522,14 +522,20 @@ def load_category(source) -> TableCat:
 
 def read_json(source: str):
     """Parse `source` as JSON text when it starts with ``{`` or ``[``, else
-    as the contents of the file it names; LoadError if it cannot."""
+    as the contents of the file it names; LoadError if it cannot.  Text
+    that names no file but is a JSON scalar (``5``, ``"a"``) is that
+    value, so the caller's type check says what it expected instead of
+    a missing file."""
     text = source
     if not source.lstrip().startswith(("{", "[")):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise LoadError(f"cannot read {source!r}: {exc}") from None
+            try:
+                return json.loads(source)
+            except json.JSONDecodeError:
+                raise LoadError(f"cannot read {source!r}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

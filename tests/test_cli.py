@@ -54,6 +54,21 @@ class TestLeq:
             assert code == 3
             assert "input error" in err
 
+    def test_diagnostics_name_what_was_expected(self, capsys):
+        good = elem("EX", 1, 1, [0])
+        for x, y, diagnostic, leak in (
+            ("5", "5", "an element is a JSON object with keys polarity, base, qobj, pred, got 5",
+             "No such file"),
+            ("[]", "[]", "an element is a JSON object with keys polarity, base, qobj, pred, got []",
+             "list indices"),
+            (elem("EX", 1, "a", [0]), good, "qobj must be a nonnegative integer, got 'a'",
+             "invalid literal"),
+        ):
+            code, _, err = run(capsys, "leq", x, y)
+            assert code == 3
+            assert err.startswith("input error") and diagnostic in err
+            assert leak not in err
+
     def test_pred_out_of_range(self, capsys):
         code, _, err = run(capsys, "leq", elem("EX", 1, 1, [7]), elem("EX", 1, 1, [0]))
         assert code == 3

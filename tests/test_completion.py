@@ -2,6 +2,7 @@
 quantifier adjoints, lattice formulas, duality, and the monad."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from doctrines.dialectica import DialObj, bounded_dialobjs, dial_leq, nested_com
 from doctrines.doctrine import PowersetDoctrine, powerset_doctrine
 from doctrines.errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
 from doctrines.fincat import Arrow
+from doctrines.laws import LawContext
 
 P = powerset_doctrine()
 C = P.cat
@@ -130,6 +132,24 @@ class TestOrder:
                     if fast is not None:
                         assert fast.arrow == slow_w.arrow
 
+    def test_kernel_certificate_is_rechecked(self):
+        class LyingKernel(PowersetDoctrine):
+            """Answers every question with the all-zero table."""
+
+            def ex_witness(self, a, b, c, alpha, beta):
+                return (0,) * (a * b)
+
+            def un_witness(self, a, b, c, alpha, beta):
+                return (0,) * (a * c)
+
+        liar = LyingKernel()
+        for polarity in (EX, UN):
+            comp = Completion(liar, polarity)
+            true, false = comp.elem(1, 1, 0b1), comp.elem(1, 1, 0)
+            with pytest.raises(WitnessValidationError, match="does not certify"):
+                comp.leq(true, false)
+            assert comp.leq(false, true).arrow.table == (0,)
+
     def test_budget_error_not_false(self):
         ex_capped = Completion(slow, EX, 10)
         x = ex_capped.elem(2, 2, 0b1111)
@@ -139,6 +159,52 @@ class TestOrder:
         # a positive found within budget still answers
         top = ex_capped.elem(2, 1, 0b11)
         assert ex_capped.leq(x, top) is not None
+
+
+class TestTracerContract:
+    """A tracer replaces methods on their classes after the completions and
+    the law context exist.  Every kernel-route decision must still reach the
+    replaced hooks, and every positive kernel answer must be certified
+    exactly once through ``Completion.certifies``."""
+
+    def test_patched_hooks_see_every_decision(self, monkeypatch):
+        doc = PowersetDoctrine()
+        comps = (Completion(doc, EX), Completion(doc, UN))
+        ctx = LawContext(doctrine=doc, max_card=2, qmax=2)
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                result = fn(*args)
+                counts[name] += 1
+                if name.endswith("_witness") and result is not None:
+                    counts["positive"] += 1
+                return result
+            return counted
+
+        for cls, name in ((PowersetDoctrine, "ex_witness"), (PowersetDoctrine, "un_witness"),
+                          (PowersetDoctrine, "reindex"), (Completion, "certifies")):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+
+        decisions = holds = 0
+        for comp in comps:
+            fiber = comp.bounded_fiber(1, 2)
+            for x in fiber:
+                for y in fiber:
+                    holds += comp.leq(x, y) is not None
+                    decisions += 1
+        for polarity in (EX, UN):
+            fiber = ctx.fiber(polarity, 2)
+            for x in fiber:
+                for y in fiber:
+                    holds += ctx.le(x, y)
+                    decisions += 1
+        assert counts["ex_witness"] + counts["un_witness"] == decisions
+        assert counts["ex_witness"] > 0 and counts["un_witness"] > 0
+        assert counts["positive"] == holds > 0
+        assert counts["certifies"] == holds
+        # each certification reindexes the larger predicate once
+        assert counts["reindex"] == holds
 
 
 class TestDialGenericRoute:

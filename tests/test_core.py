@@ -1,6 +1,8 @@
 """Kernel contract: each kernel returns the first witness of the plain
 enumerative search, or None exactly when that search finds none."""
 
+import random
+
 from doctrines import core
 
 
@@ -103,6 +105,45 @@ class TestAgainstScan:
                                 want = dial_witness_scan(nb, nc, nb2, nc2, alpha, beta)
                                 got = core.dial_witness(nb, nc, nb2, nc2, alpha, beta)
                                 assert got == want
+
+
+# Tables of up to 8 positions, as the law suite reaches at qmax=2, with
+# each scan kept under SCAN_CAP candidate tables.
+MAX_POSITIONS = 8
+SCAN_CAP = 10**4
+
+
+def sweep_shapes():
+    """(na, nb, nc) beyond SMALL whose EX table fits the bounds above; the
+    UN table has na*nc positions over nb values, so (na, nc, nb) serves it."""
+    for na in range(1, MAX_POSITIONS + 1):
+        for nb in range(1, MAX_POSITIONS // na + 1):
+            for nc in range(1, MAX_POSITIONS + 1):
+                if max(na, nb, nc) > max(SMALL) and nc ** (na * nb) <= SCAN_CAP:
+                    yield na, nb, nc
+
+
+def random_mask(rng, n):
+    """n random bits at a random density, with stray bits above them."""
+    density = rng.choice((0.2, 0.5, 0.8))
+    mask = sum(1 << i for i in range(n) if rng.random() < density)
+    return mask | stray(n) if rng.random() < 0.5 else mask
+
+
+class TestRandomSweep:
+    def test_ex_and_un_against_scan(self):
+        rng = random.Random(20261019)
+        shapes = list(sweep_shapes())
+        assert max(na * nb for na, nb, _ in shapes) == MAX_POSITIONS
+        for na, nb, nc in shapes:
+            for _ in range(6):
+                alpha, beta = random_mask(rng, na * nb), random_mask(rng, na * nc)
+                want = ex_witness_scan(na, nb, nc, alpha, beta)
+                assert core.ex_witness(na, nb, nc, alpha, beta) == want, (na, nb, nc, alpha, beta)
+                # the same shape read as UN: tables over na*nb positions with nc values
+                alpha, beta = random_mask(rng, na * nc), random_mask(rng, na * nb)
+                want = un_witness_scan(na, nc, nb, alpha, beta)
+                assert core.un_witness(na, nc, nb, alpha, beta) == want, (na, nc, nb, alpha, beta)
 
 
 class TestLargeCarrier:
