@@ -56,7 +56,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 from .completion import EX, UN, Completion, QuantElem, dual_completion, duality_transport
@@ -133,10 +132,10 @@ class _Order:
         return answer
 
 
-@dataclass
 class LawContext:
     """Everything a law needs; completions can be swapped for sabotaged
-    variants when exercising the negative controls.
+    variants when exercising the negative controls.  Without a doctrine
+    each context builds a powerset doctrine of its own.
 
     Beside ``comp_ex`` and ``comp_un`` it builds, once, ``dual`` (mirroring
     ``comp_un`` over the order-reversed doctrine) and ``nested`` (the
@@ -154,25 +153,17 @@ class LawContext:
     long as the context lives; running the same laws again adds nothing.
     """
 
-    doctrine: Doctrine = field(default_factory=powerset_doctrine)
-    max_card: int = 2
-    qmax: int = 2
-    seed: int = 2024
-    budget: int | None = None
-    comp_ex: Completion | None = None
-    comp_un: Completion | None = None
-    dual: Completion = field(init=False, repr=False, compare=False)
-    nested: Completion = field(init=False, repr=False, compare=False)
-    # (completion, base object) -> _Order
-    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.comp_ex is None:
-            self.comp_ex = Completion(self.doctrine, EX, self.budget)
-        if self.comp_un is None:
-            self.comp_un = Completion(self.doctrine, UN, self.budget)
+    def __init__(self, doctrine: Doctrine | None = None, max_card: int = 2, qmax: int = 2,
+                 seed: int = 2024, budget: int | None = None,
+                 comp_ex: Completion | None = None, comp_un: Completion | None = None):
+        self.doctrine = powerset_doctrine() if doctrine is None else doctrine
+        self.max_card, self.qmax, self.seed, self.budget = max_card, qmax, seed, budget
+        self.comp_ex = Completion(self.doctrine, EX, budget) if comp_ex is None else comp_ex
+        self.comp_un = Completion(self.doctrine, UN, budget) if comp_un is None else comp_un
         self.dual = dual_completion(self.comp_un)
-        self.nested = nested_completion(self.doctrine, self.budget)
+        self.nested = nested_completion(self.doctrine, budget)
+        # (completion, base object) -> _Order
+        self._orders = {}
 
     @property
     def objects(self):
@@ -1136,9 +1127,12 @@ def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None)
 
 
 def run_suite(name: str, ctx: LawContext | None = None, **kwargs) -> LawReport:
-    """Run one suite (or "all") and return its report."""
+    """Run one suite (or "all") and return its report.  Keyword arguments
+    build the context; they cannot be given together with one."""
     if ctx is None:
         ctx = LawContext(**kwargs)
+    elif kwargs:
+        raise TypeError(f"run_suite got both a context and {', '.join(sorted(kwargs))}")
     names = list(_SUITE_FNS) if name == "all" else [name]
     unknown = [n for n in names if n not in _SUITE_FNS]
     if unknown:

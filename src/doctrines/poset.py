@@ -9,15 +9,13 @@ first-class, testable notion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class Preorder:
-    labels: tuple
-    rows: tuple
+    """An order matrix on labels: validated when built, immutable, equal by fields within one class."""
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple, rows: tuple):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rows", rows)
         n = len(self.labels)
         if len(self.rows) != n:
             raise ValueError("order matrix size disagrees with element count")
@@ -34,6 +32,22 @@ class Preorder:
                     acc |= self.rows[j]
             if acc != self.rows[i]:
                 raise ValueError(f"not transitive at {self.labels[i]!r}")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.rows) == (other.labels, other.rows)
+
+    def __hash__(self):
+        return hash((self.labels, self.rows))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(labels={self.labels!r}, rows={self.rows!r})"
 
     @property
     def n(self) -> int:
@@ -118,10 +132,9 @@ class Preorder:
         return cls(labels, tuple(rows))
 
 
-@dataclass(frozen=True)
 class Poset(Preorder):
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, labels: tuple, rows: tuple):
+        super().__init__(labels, rows)
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if self.le(i, j) and self.le(j, i):
@@ -177,15 +190,13 @@ def poset_reflect(p: Preorder) -> tuple[Poset, tuple]:
     return quotient, table
 
 
-@dataclass
 class LatticeReport:
-    has_top: bool
-    has_bottom: bool
-    top: int | None
-    bottom: int | None
-    meet: dict = field(default_factory=dict)
-    join: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    def __init__(self, has_top: bool, has_bottom: bool, top: int | None, bottom: int | None,
+                 meet: dict | None = None, join: dict | None = None, failures: list | None = None):
+        self.has_top, self.has_bottom, self.top, self.bottom = has_top, has_bottom, top, bottom
+        self.meet = {} if meet is None else meet
+        self.join = {} if join is None else join
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

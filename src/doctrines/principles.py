@@ -10,7 +10,7 @@ through the unit isomorphism A x 1 ~ A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .completion import EX, UN, Completion, QuantElem
 from .dialectica import eval_expand_arrow
@@ -72,8 +72,7 @@ def _extract(comp: Completion, x: QuantElem, polarity: str) -> Arrow | None:
     return f
 
 
-@dataclass
-class SkolemReport:
+class SkolemReport(NamedTuple):
     """Both quantifier prefixes of one predicate, with the mutual-order
     decision and its certificates."""
 

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
 
-@dataclass
-class LawResult:
+class LawResult(NamedTuple):
     law: str
     status: str
     checked: int = 0
@@ -19,13 +18,12 @@ class LawResult:
     detail: str = ""
 
 
-@dataclass
 class LawReport:
-    suite: str
-    bounds: dict = field(default_factory=dict)
-    seed: int | None = None
-    results: list = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, suite: str, bounds: dict | None = None, seed: int | None = None,
+                 results: list | None = None, elapsed: float = 0.0):
+        self.suite, self.seed, self.elapsed = suite, seed, elapsed
+        self.bounds = {} if bounds is None else bounds
+        self.results = [] if results is None else results
 
     def extend(self, results):
         self.results.extend(results)
@@ -50,16 +48,7 @@ class LawReport:
             "suite": self.suite,
             "bounds": self.bounds,
             "seed": self.seed,
-            "results": [
-                {
-                    "law": r.law,
-                    "status": r.status,
-                    "checked": r.checked,
-                    "counterexample": r.counterexample,
-                    "detail": r.detail,
-                }
-                for r in self.results
-            ],
+            "results": [r._asdict() for r in self.results],
         }
         if with_timing:
             d["elapsed"] = self.elapsed

@@ -102,6 +102,12 @@ class TestDeterminism:
         rep = run_suite("skolem", small_ctx(seed=99))
         assert rep.seed == 99
 
+    def test_context_arguments_beside_a_context_are_refused(self):
+        # they used to be dropped: the suite ran at the context's bounds
+        with pytest.raises(TypeError, match="both a context and qmax, seed"):
+            run_suite("skolem", small_ctx(), seed=5, qmax=3)
+        assert run_suite("skolem", max_card=1, qmax=1, seed=5).bounds == {"max_card": 1, "qmax": 1}
+
 
 class TestOutcomePolicy:
     def test_budget_cut_is_skipped_not_passed(self):

@@ -2,8 +2,9 @@
 builtins: an undefined-name check that needs only the standard library.
 The top-level package exports exactly what its callers outside the
 package take from it, every library name the benchmark's tracer wraps
-exists, every library definition has a reference somewhere, and no
-library line is longer than 120 columns."""
+exists, every library definition has a reference somewhere, no library
+line is longer than 120 columns, and importing the library loads none of
+the heavy introspection modules."""
 
 import ast
 import builtins
@@ -11,6 +12,8 @@ import dis
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -149,3 +152,18 @@ def test_every_canonical_map_is_memo_checked():
         and any(getattr(d, "id", getattr(d, "attr", None)) == "_canonical" for d in node.decorator_list)
     ]
     assert canonical and [c for c in canonical if c.split()[1] not in checked] == []
+
+
+# what ``dataclasses`` pulls in; no hot path of the library needs any of it
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_import_footprint():
+    """``import doctrines, doctrines.cli`` in a bare interpreter (``-S``,
+    no site packages) loads none of the heavy introspection modules, which
+    a cold command-line call would otherwise pay for."""
+    src = str(Path(doctrines.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import doctrines, doctrines.cli; "
+            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -177,3 +177,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Poset((0, 1), (0b11, 0b11))
 
+    @pytest.mark.parametrize("make, labels, rows, message", [
+        (Preorder, (0, 1), (0b01,), "size disagrees"),
+        (Preorder, (0, 1), (0b101, 0b10), "bits outside the carrier"),
+        (Preorder, (0, 1), (0b01, 0b00), "not reflexive at 1"),
+        (Preorder, (0, 1, 2), (0b011, 0b110, 0b100), "not transitive at 0"),
+        (Poset, (0, 1), (0b11, 0b11), "not antisymmetric: 0 ~ 1"),
+    ])
+    def test_every_condition_names_itself(self, make, labels, rows, message):
+        with pytest.raises(ValueError, match=message):
+            make(labels, rows)
+
