@@ -14,9 +14,8 @@ import sys
 
 from .completion import EX, UN, Completion, QuantElem
 from .dialectica import DialObj, bounded_dialobjs, dial_leq, dial_preorder
-from .doctrine import load_doctrine, mask_from_indices, powerset_doctrine
+from .doctrine import mask_from_indices, powerset_doctrine
 from .errors import DEFAULT_BUDGET, DoctrineError, LoadError, SearchBudgetExceeded, natural
-from .fincat import _known_keys, load_category, read_json
 from .laws import SUITES, LawContext, run_suite, verify_doctrine
 from .poset import Poset, lattice_check, poset_reflect, to_dot
 from .principles import extract_choice, extract_counterexample, skolem_check
@@ -31,6 +30,8 @@ EXIT_BUDGET = 4
 def _read_object(text: str, keys: tuple, what: str) -> dict:
     """`text` (inline JSON or a file path) as a JSON object with no key
     outside `keys`; LoadError naming them when it is anything else."""
+    from .tables import _known_keys, read_json
+
     data = read_json(text)
     if not isinstance(data, dict):
         raise LoadError(f"{what} is a JSON object with keys {', '.join(keys)}, got {data!r}")
@@ -93,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-doctrine", help="verify a tabular doctrine file")
     p.add_argument("file")
     p.add_argument("--category", default=None, help="category file when not inlined")
-    p.add_argument("--max-card", type=natural, default=2)
 
     p = sub.add_parser("leq", help="decide the completion order between two elements")
     p.add_argument("x")
@@ -170,11 +170,11 @@ def _dispatch(args) -> int:
     doc = powerset_doctrine()
 
     if args.command == "check-doctrine":
-        cat = None
-        if args.category:
-            cat = load_category(args.category)
+        from .tables import load_category, load_doctrine
+
+        cat = load_category(args.category) if args.category else None
         tab = load_doctrine(args.file, cat=cat, verify=False)
-        report = verify_doctrine(tab, max_card=args.max_card, budget=budget)
+        report = verify_doctrine(tab, budget=budget)
         _emit(args, report.to_dict(), report.render())
         return EXIT_OK if report.ok else EXIT_LAW_FAIL
 
@@ -283,6 +283,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "skolem":
+        from .tables import read_json
+
         comp = Completion(doc, EX, budget)
         carrier = args.a1 * args.a2 * args.b
         alpha = mask_from_indices(read_json(args.pred), carrier)

@@ -1,5 +1,6 @@
-"""Poset-valued doctrines: the interface, the powerset instance, order
-reversal, tabular file-loaded instances and their loader.
+"""Poset-valued doctrines: the interface, the powerset instance and order
+reversal.  Tabular doctrines loaded from files live in
+:mod:`doctrines.tables`.
 
 A doctrine assigns to every object A of a finite base category a poset of
 predicates and to every arrow f a monotone reindexing map P_f going the
@@ -14,12 +15,9 @@ declared fiber posets.
 
 from __future__ import annotations
 
-import json
-
 from . import core
 from .errors import CapabilityError, LoadError, SearchBudgetExceeded, natural
-from .fincat import Arrow, SkelFinSet, TableCat, _as_dict, _block, _known_keys, load_category
-from .poset import Preorder
+from .fincat import Arrow, SkelFinSet
 
 CAP_EX_PR = "existential-over-projections"
 CAP_UN_PR = "universal-over-projections"
@@ -324,129 +322,3 @@ def op_doctrine(p: Doctrine) -> Doctrine:
     if isinstance(p, OpDoctrine):
         return p.base
     return OpDoctrine(p)
-
-
-class TabularDoctrine(Doctrine):
-    """A doctrine with every fiber and reindex map given explicitly.
-
-    Predicates are indices into the declared fiber posets.  Built from
-    untrusted files, so :func:`load_doctrine` re-verifies the laws unless
-    told not to.
-    """
-
-    def __init__(self, cat: TableCat, fibers, reindex_tables, exists_tables=None, forall_tables=None, caps=frozenset()):
-        super().__init__(cat, caps)
-        self.fibers = dict(fibers)  # obj -> Preorder
-        self._reindex = dict(reindex_tables)  # arrow -> tuple
-        self._exists = dict(exists_tables or {})
-        self._forall = dict(forall_tables or {})
-
-    def _fiber(self, a):
-        try:
-            return self.fibers[a]
-        except KeyError:
-            raise CapabilityError(f"{a!r} is not a declared object") from None
-
-    def fiber_leq(self, a, p, q) -> bool:
-        return self._fiber(a).le(p, q)
-
-    def fiber_elements(self, a):
-        return range(self._fiber(a).n)
-
-    def reindex(self, f: Arrow, p):
-        try:
-            return self._reindex[f][p]
-        except KeyError:
-            raise CapabilityError(f"no reindex table for {f!r}") from None
-
-    def exists_along(self, f: Arrow, p):
-        try:
-            return self._exists[f][p]
-        except KeyError:
-            raise CapabilityError(f"no left adjoint table for {f!r}") from None
-
-    def forall_along(self, f: Arrow, p):
-        try:
-            return self._forall[f][p]
-        except KeyError:
-            raise CapabilityError(f"no right adjoint table for {f!r}") from None
-
-    def pred_to_json(self, a, p):
-        return self._fiber(a).labels[p]
-
-    def pred_from_json(self, a, data):
-        return self._fiber(a).labels.index(data)
-
-    def _has_any_adjoint_tables(self) -> bool:
-        return bool(self._exists) or bool(self._forall)
-
-
-def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> TabularDoctrine:
-    """Load a tabular doctrine from a JSON file path, JSON text, or dict.
-
-    With verify=True (the default for untrusted input) the doctrine laws
-    are checked and the first violation raises LoadError naming the law.
-    """
-    data = _as_dict(source)
-    _known_keys(data, ("category", "fibers", "reindex", "exists", "forall", "capabilities"), "a doctrine")
-    if cat is None:
-        catspec = data.get("category")
-        if catspec is None:
-            raise LoadError("doctrine file has no category and none was supplied")
-        cat = load_category(catspec)
-
-    fibers = {}
-    for obj_id, spec in _block(data, "fibers", {}).items():
-        if obj_id not in cat.objects():
-            raise LoadError(f"fiber declared over unknown object {obj_id!r}", law="fiber-object")
-        try:
-            elems = list(spec["elements"])
-            fibers[obj_id] = Preorder.from_pairs(elems, [tuple(p) for p in spec.get("leq", [])])
-        except KeyError as exc:
-            raise LoadError(f"fiber over {obj_id!r} has no {exc} list", law="fiber-order") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise LoadError(f"fiber over {obj_id!r}: {exc}", law="fiber-order") from None
-    missing = set(cat.objects()) - set(fibers)
-    if missing:
-        raise LoadError(f"objects without fibers: {sorted(map(repr, missing))}", law="fiber-object")
-
-    def table_for(kind, name, block):
-        arrow = cat.names.get(name)
-        if arrow is None:
-            raise LoadError(f"{kind} table for unknown arrow {name!r}", law="arrow-table")
-        src = fibers[arrow.cod] if kind == "reindex" else fibers[arrow.dom]
-        dst = fibers[arrow.dom] if kind == "reindex" else fibers[arrow.cod]
-        try:
-            table = tuple(natural(v, f"{kind} table entry") for v in block)
-        except (TypeError, ValueError) as exc:
-            raise LoadError(f"{kind} table for {name!r}: {exc}", law="map-table") from None
-        if len(table) != src.n or any(v >= dst.n for v in table):
-            raise LoadError(f"{kind} table for {name!r} is ill-formed", law="map-table")
-        return arrow, table
-
-    tables = {kind: dict(table_for(kind, name, block) for name, block in _block(data, kind, {}).items())
-              for kind in ("reindex", "exists", "forall")}
-    for name, arrow in cat.names.items():
-        if arrow not in tables["reindex"]:
-            raise LoadError(f"arrow {name!r} has no reindex table", law="map-table")
-
-    try:
-        caps = frozenset(_block(data, "capabilities", []))
-    except TypeError as exc:
-        raise LoadError(f"bad capability list: {exc}", law="capabilities") from None
-    unknown = caps - ALL_CAPS
-    if unknown:
-        raise LoadError(f"unknown capability flags {sorted(unknown)}", law="capabilities")
-
-    doc = TabularDoctrine(cat, fibers, tables["reindex"], tables["exists"], tables["forall"], caps)
-    if verify:
-        from .laws import verify_doctrine
-
-        rep = verify_doctrine(doc)
-        for r in rep.failed:
-            raise LoadError(
-                f"doctrine law violated: {json.dumps(r.counterexample, sort_keys=True, default=repr)}",
-                law=r.law,
-            )
-    return doc
-

@@ -1109,7 +1109,9 @@ def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None)
     Beck-Chevalley squares of projections and injections, plus lattice
     structure when the doctrine claims it.  Never passes silently: anything
     cut short by a budget or a missing capability is reported SKIPPED with
-    the reason.
+    the reason.  `max_card` bounds the objects over finite sets only, so
+    only there is it a bound of the report; a declared category is checked
+    on every object.
     """
     laws = ["reindex-identity", "reindex-composition", "reindex-monotone"]
     if CAP_ALONG_ALL in doc.caps or doc._has_any_adjoint_tables():
@@ -1120,7 +1122,8 @@ def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None)
         laws.append("beck-chevalley-injections")
     if CAP_LAT in doc.caps:
         laws += ["lat-fibers", "reindex-preserves-lattice"]
-    report = LawReport(suite="doctrine", bounds={"max_card": max_card})
+    bounds = {"max_card": max_card} if isinstance(doc.cat, SkelFinSet) else {}
+    report = LawReport(suite="doctrine", bounds=bounds)
     report.extend(run_laws(LawContext(doc, max_card, budget=budget), laws))
     report.sort()
     return report

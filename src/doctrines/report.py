@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 PASS = "PASS"
@@ -55,6 +54,8 @@ class LawReport:
         return d
 
     def render(self, with_timing: bool = True) -> str:
+        import json
+
         width = max((len(r.law) for r in self.results), default=10) + 2
         lines = [f"suite: {self.suite}"]
         if self.bounds:

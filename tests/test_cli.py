@@ -5,7 +5,7 @@ import json
 import pytest
 
 from doctrines.cli import main
-from doctrines.fincat import skel_category_json
+from doctrines.tables import skel_category_json
 
 
 def run(capsys, *argv):
@@ -257,6 +257,15 @@ class TestCheckDoctrine:
         for law in ("lat-fibers", "reindex-preserves-lattice"):
             assert results[law]["status"] == "SKIPPED"
             assert results[law]["detail"] == "no meet provider"
+
+    def test_no_card_bound(self, capsys, tmp_path):
+        """A tabular doctrine is checked on every declared object, so the
+        command takes no cardinality bound and reports none."""
+        path = self.make_doctrine_file(tmp_path)
+        code, err = usage_error(capsys, "check-doctrine", path, "--max-card", "2")
+        assert code == 3 and "unrecognized arguments: --max-card" in err
+        code, out, _ = run(capsys, "--json", "check-doctrine", path)
+        assert code == 0 and json.loads(out)["bounds"] == {}
 
     def test_structural_error_exits_3(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -9,15 +9,14 @@ from doctrines.doctrine import (
     OpDoctrine,
     PowersetDoctrine,
     indices_from_mask,
-    load_doctrine,
     mask_from_indices,
     op_doctrine,
     powerset_doctrine,
 )
 from doctrines.errors import CapabilityError, LoadError
-from doctrines.fincat import skel_category_json
 from doctrines.laws import LawContext, run_laws, run_suite, verify_doctrine
 from doctrines.report import PASS, SKIPPED
+from doctrines.tables import load_doctrine, skel_category_json
 
 P = powerset_doctrine()
 C = P.cat
@@ -244,6 +243,16 @@ class TestTabular:
         assert laws["skolem-full-sweep"].detail == "4 is not a declared object"
         for law in ("rule-of-choice", "counterexample-property"):
             assert laws[law].status == SKIPPED and "finite-sets base" in laws[law].detail
+
+    def test_bounds_name_only_what_bounds_the_check(self):
+        """`max_card` bounds the objects over finite sets; a declared
+        category is checked on every object, so its report records no
+        bound and its results do not depend on the value given."""
+        doc = load_doctrine(tiny_doctrine_data(adjoints=True))
+        reps = [verify_doctrine(doc, max_card=k) for k in (0, 2, 5)]
+        assert [rep.bounds for rep in reps] == [{}, {}, {}]
+        assert len({tuple(rep.results) for rep in reps}) == 1
+        assert verify_doctrine(P, max_card=1).bounds == {"max_card": 1}
 
     def test_swapped_adjoint_tables_rejected(self):
         with pytest.raises(LoadError) as e:

@@ -12,12 +12,11 @@ from doctrines.fincat import (
     SkelFinSet,
     compose,
     graph_pr1,
-    load_category,
     product_map,
     reassoc_left,
-    skel_category_json,
     times_identity,
 )
+from doctrines.tables import load_category, skel_category_json
 
 C = SkelFinSet()
 

@@ -158,12 +158,27 @@ def test_every_canonical_map_is_memo_checked():
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def test_import_footprint():
-    """``import doctrines, doctrines.cli`` in a bare interpreter (``-S``,
-    no site packages) loads none of the heavy introspection modules, which
-    a cold command-line call would otherwise pay for."""
+def loaded_modules(code, names):
+    """Which of `names` are in ``sys.modules`` after running `code` in a
+    bare interpreter (``-S``, no site packages) that imports from this
+    source tree.  The answer is the last line printed, after any output
+    of `code`."""
     src = str(Path(doctrines.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import doctrines, doctrines.cli; "
-            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []
+    script = f"import sys; sys.path.insert(0, {src!r}); {code}; print(' '.join(m for m in {names!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_import_footprint():
+    """``import doctrines, doctrines.cli`` loads none of the heavy
+    introspection modules, which a cold command-line call would otherwise
+    pay for.  ``import doctrines`` loads neither the file-input layer nor
+    ``json``, and a law run from the command line leaves the file-input
+    layer unloaded; a command that reads a doctrine file loads it."""
+    assert loaded_modules("import doctrines, doctrines.cli", HEAVY) == []
+    assert loaded_modules("import doctrines", ("doctrines.tables", "json")) == []
+    law_run = ("import doctrines.cli; assert doctrines.cli.main(['--json', 'verify-laws', '--suite', 'duality', "
+               "'--max-card', '1', '--no-timing']) == 0")
+    assert loaded_modules(law_run, ("doctrines.tables",)) == []
+    check_run = "import doctrines.cli; assert doctrines.cli.main(['check-doctrine', '{}']) == 3"
+    assert loaded_modules(check_run, ("doctrines.tables",)) == ["doctrines.tables"]
