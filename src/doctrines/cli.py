@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-doctrine", help="verify a tabular doctrine file")
     p.add_argument("file")
-    p.add_argument("--category", default=None, help="category file when not inlined")
 
     p = sub.add_parser("leq", help="decide the completion order between two elements")
     p.add_argument("x")
@@ -170,10 +169,9 @@ def _dispatch(args) -> int:
     doc = powerset_doctrine()
 
     if args.command == "check-doctrine":
-        from .tables import load_category, load_doctrine
+        from .tables import load_doctrine
 
-        cat = load_category(args.category) if args.category else None
-        tab = load_doctrine(args.file, cat=cat, verify=False)
+        tab = load_doctrine(args.file, verify=False)
         report = verify_doctrine(tab, budget=budget)
         _emit(args, report.to_dict(), report.render())
         return EXIT_OK if report.ok else EXIT_LAW_FAIL

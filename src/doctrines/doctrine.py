@@ -24,11 +24,8 @@ CAP_UN_PR = "universal-over-projections"
 CAP_INJ_LEFT = "adjoints-over-injections-left"
 CAP_INJ_RIGHT = "adjoints-over-injections-right"
 CAP_LAT = "lat-fibers"
-CAP_ALONG_ALL = "adjoints-along-all-arrows"
 
-ALL_CAPS = frozenset(
-    {CAP_EX_PR, CAP_UN_PR, CAP_INJ_LEFT, CAP_INJ_RIGHT, CAP_LAT, CAP_ALONG_ALL}
-)
+ALL_CAPS = frozenset({CAP_EX_PR, CAP_UN_PR, CAP_INJ_LEFT, CAP_INJ_RIGHT, CAP_LAT})
 
 
 class Doctrine:
@@ -87,10 +84,10 @@ class Doctrine:
         raise CapabilityError(f"missing capability {CAP_INJ_RIGHT}")
 
     def exists_along(self, f: Arrow, p):
-        raise CapabilityError(f"missing capability {CAP_ALONG_ALL}")
+        raise CapabilityError(f"no left adjoint to reindexing along {f!r}")
 
     def forall_along(self, f: Arrow, p):
-        raise CapabilityError(f"missing capability {CAP_ALONG_ALL}")
+        raise CapabilityError(f"no right adjoint to reindexing along {f!r}")
 
     # -- fast order-decision hooks -------------------------------------
 
@@ -114,9 +111,6 @@ class Doctrine:
 
     def pred_from_json(self, a, data):
         raise CapabilityError("predicates of this doctrine are not serializable")
-
-    def _has_any_adjoint_tables(self) -> bool:
-        return False
 
 
 def mask_from_indices(indices, carrier: int) -> int:
@@ -247,7 +241,6 @@ _SWAPPED_CAPS = {
     CAP_INJ_LEFT: CAP_INJ_RIGHT,
     CAP_INJ_RIGHT: CAP_INJ_LEFT,
     CAP_LAT: CAP_LAT,
-    CAP_ALONG_ALL: CAP_ALONG_ALL,
 }
 
 

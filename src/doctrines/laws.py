@@ -7,15 +7,19 @@ squares, fiber lattices), the completion preorder, the projection/injection
 adjunctions, strict Beck-Chevalley equalities, fiberwise lattice
 structure, the order duality between the two completions, the monad
 identities, Skolemization together with the choice principles, and the
-dialectica oracle equivalence.  `_LAWS` names each law's body; a suite is
-a tuple of law names; :func:`run_laws` is the one place that turns a
-body's outcome into a :class:`LawResult`.  :func:`verify_doctrine` runs
-the base-doctrine laws a doctrine's capabilities select, :func:`run_suite`
-runs a suite.
+dialectica oracle equivalence.  One table lists every law once, by suite,
+as its name, its body and the body's arguments; the law index and the
+suite names are read off it.  :func:`run_laws` is the one place that turns
+a body's outcome into a :class:`LawResult`.  :func:`verify_doctrine` runs
+the base-doctrine laws, :func:`run_suite` runs a suite.
 
-All laws iterate in deterministic ascending order, so a FAIL always
-carries the smallest counterexample found first; anything cut short by a
-search budget or a missing capability is reported SKIPPED, never PASS.
+Each law decides for itself whether it applies: a body raises
+CapabilityError for what the doctrine lacks (no adjoint along any arrow,
+no claimed quantifier of a Beck-Chevalley square, no claimed lattice
+fibers), and the law is SKIPPED with that reason.  All laws iterate in
+deterministic ascending order, so a FAIL always carries the smallest
+counterexample found first; anything cut short by a search budget or a
+missing capability is reported SKIPPED, never PASS.
 
 A :class:`LawContext` owns every completion its laws decide in: the two
 completions of its doctrine, the dual of the universal one and the nested
@@ -70,7 +74,6 @@ from .dialectica import (
     nested_completion,
 )
 from .doctrine import (
-    CAP_ALONG_ALL,
     CAP_EX_PR,
     CAP_INJ_LEFT,
     CAP_INJ_RIGHT,
@@ -318,10 +321,11 @@ def _adjunction(le_dom, le_cod, xs, ys, pulled, images):
 def _law_adjunction_along(ctx, side):
     """exists_along(f) -| reindex(f), or reindex(f) -| forall_along(f), on
     every arrow the doctrine has an adjoint for; arrows without one are
-    skipped (a doctrine only claims the adjoints it declares)."""
+    skipped (a doctrine only claims the adjoints it declares), and a
+    doctrine with none along any arrow does not have the law."""
     doc = ctx.doctrine
     quantify = doc.exists_along if side == "exists" else doc.forall_along
-    checked = 0
+    checked, adjoints = 0, 0
     for f in ctx.arrows():
         try:
             xs, ys = doc.fiber_elements(f.dom), doc.fiber_elements(f.cod)
@@ -330,9 +334,12 @@ def _law_adjunction_along(ctx, side):
         except CapabilityError:
             continue
         checked += count
+        adjoints += 1
         if bad is not None:
             _, u, v, lhs, rhs = bad
             return checked, {"f": list(f.table), "dom": f.dom, "cod": f.cod, "u": u, "v": v, "lhs": lhs, "rhs": rhs}
+    if not adjoints:
+        raise CapabilityError(f"no {'left' if side == 'exists' else 'right'} adjoint to reindexing along any arrow")
     return checked, None
 
 
@@ -355,12 +362,21 @@ def _inj_squares(ctx, cat):
                 yield a, b, c, d, f, h, g
 
 
+def _claimed_sides(doc, *sides):
+    """The (side, quantifier) of each (side, capability, quantifier) of
+    `sides` whose capability the doctrine claims; a doctrine that claims
+    none of them does not have the law."""
+    claimed = [(side, quantify) for side, cap, quantify in sides if cap in doc.caps]
+    if not claimed:
+        raise CapabilityError("missing capabilities " + " and ".join(cap for _, cap, _ in sides))
+    return claimed
+
+
 def _law_bc_projections(ctx):
     """For f: D -> A and any C, quantifying along pr then substituting f
     equals substituting fx1 then quantifying along pr'."""
     doc = ctx.doctrine
-    sides = [(side, quantify) for side, cap, quantify in (
-        ("exists", CAP_EX_PR, doc.exists_pr), ("forall", CAP_UN_PR, doc.forall_pr)) if cap in doc.caps]
+    sides = _claimed_sides(doc, ("exists", CAP_EX_PR, doc.exists_pr), ("forall", CAP_UN_PR, doc.forall_pr))
     checked = 0
     for f, c, ac, fx1 in _pr_squares(ctx, doc.cat):
         d, a = f.dom, f.cod
@@ -379,8 +395,7 @@ def _law_bc_injections(ctx):
     over j_C, j_A commutes with the injection adjoints."""
     doc = ctx.doctrine
     cat = doc.cat
-    sides = [(side, quantify) for side, cap, quantify in (
-        ("exists", CAP_INJ_LEFT, doc.exists_inj), ("forall", CAP_INJ_RIGHT, doc.forall_inj)) if cap in doc.caps]
+    sides = _claimed_sides(doc, ("exists", CAP_INJ_LEFT, doc.exists_inj), ("forall", CAP_INJ_RIGHT, doc.forall_inj))
     checked = 0
     for a, b, c, d, f, h, g in _inj_squares(ctx, cat):
         for eps in doc.fiber_elements(a):
@@ -394,8 +409,16 @@ def _law_bc_injections(ctx):
     return checked, None
 
 
+def _lattice_doctrine(ctx):
+    """The context's doctrine, which must claim lattice fibers: a fiber
+    that claims no lattice structure is never failed for lacking one."""
+    if CAP_LAT not in ctx.doctrine.caps:
+        raise CapabilityError(f"missing capability {CAP_LAT}")
+    return ctx.doctrine
+
+
 def _law_lat_fibers(ctx):
-    doc = ctx.doctrine
+    doc = _lattice_doctrine(ctx)
     checked = 0
     for a in ctx.objects:
         elems = list(doc.fiber_elements(a))
@@ -419,7 +442,7 @@ def _law_lat_fibers(ctx):
 
 
 def _law_reindex_preserves_lattice(ctx):
-    doc = ctx.doctrine
+    doc = _lattice_doctrine(ctx)
     checked = 0
     for f in ctx.arrows():
         for p in doc.fiber_elements(f.cod):
@@ -986,92 +1009,85 @@ def _dial_json(doc, u: DialObj):
 # ---------------------------------------------------------------------------
 
 
+# suite -> (its base-doctrine laws, its completion laws), in run order; each
+# law is listed once, as (name, body, the arguments the body takes after the
+# context)
+_SUITE_TABLE = {
+    "functoriality": ((
+        ("reindex-identity", _law_reindex_identity),
+        ("reindex-composition", _law_reindex_composition),
+        ("reindex-monotone", _law_reindex_monotone),
+    ), (
+        ("completion-leq-reflexive-ex", _law_leq_reflexive, EX),
+        ("completion-leq-transitive-ex", _law_leq_transitive, EX),
+        ("completion-reindex-functorial-ex", _law_reindex_q_functorial, EX),
+        ("completion-leq-reflexive-un", _law_leq_reflexive, UN),
+        ("completion-leq-transitive-un", _law_leq_transitive, UN),
+        ("completion-reindex-functorial-un", _law_reindex_q_functorial, UN),
+    )),
+    "adjunctions": ((
+        ("adjunction-exists-along", _law_adjunction_along, "exists"),
+        ("adjunction-forall-along", _law_adjunction_along, "forall"),
+    ), (
+        ("completion-exists-pr-adjunction", _law_pr_adjunction, EX, "exists"),
+        ("completion-forall-pr-adjunction", _law_pr_adjunction, UN, "forall"),
+        ("completion-forall-pr-exp-adjunction", _law_pr_adjunction, EX, "forall"),
+        ("completion-inj-adjunction-ex", _law_inj_adjunction, EX),
+        ("completion-inj-adjunction-un", _law_inj_adjunction, UN),
+    )),
+    "beck-chevalley": ((
+        ("beck-chevalley-projections", _law_bc_projections),
+        ("beck-chevalley-injections", _law_bc_injections),
+    ), (
+        ("completion-bc-exists-pr-strict", _law_bc_pr_strict, EX, "exists"),
+        ("completion-bc-forall-pr-strict", _law_bc_pr_strict, UN, "forall"),
+        ("completion-bc-forall-pr-exp-strict", _law_bc_pr_strict, EX, "forall"),
+        ("completion-bc-inj-strict-ex", _law_bc_inj_strict, EX),
+        ("completion-bc-inj-strict-un", _law_bc_inj_strict, UN),
+    )),
+    "lattice": ((
+        ("lat-fibers", _law_lat_fibers),
+        ("reindex-preserves-lattice", _law_reindex_preserves_lattice),
+    ), (
+        ("completion-bounds-ex", _law_bounds, EX),
+        ("completion-meet-universal-ex", _law_meet_join, EX, "meet"),
+        ("completion-join-universal-ex", _law_meet_join, EX, "join"),
+        ("completion-reindex-lattice-ex", _law_reindex_lattice, EX),
+        ("completion-bounds-un", _law_bounds, UN),
+        ("completion-meet-universal-un", _law_meet_join, UN, "meet"),
+        ("completion-join-universal-un", _law_meet_join, UN, "join"),
+        ("completion-reindex-lattice-un", _law_reindex_lattice, UN),
+    )),
+    "duality": ((), (
+        ("duality-involution", _law_duality_involution),
+        ("duality-order-matrix", _law_duality_matrix),
+        ("duality-witnesses", _law_duality_witnesses),
+    )),
+    "monad": ((), (
+        ("monad-unit-laws-ex", _law_monad_units, EX),
+        ("monad-unit-laws-un", _law_monad_units, UN),
+        ("monad-prenex", _law_prenex),
+        ("monad-unit-forall-commute", _law_unit_forall),
+    )),
+    "skolem": ((), (
+        ("skolem-full-sweep", _law_skolem_sweep),
+        ("skolem-sampled", _law_skolem_sampled),
+        ("rule-of-choice", _law_choice, EX),
+        ("counterexample-property", _law_choice, UN),
+    )),
+    "dialectica-oracle": ((), (
+        ("dialectica-order-equivalence", _law_dial_equivalence),
+        ("dialectica-roundtrip", _law_dial_roundtrip),
+        ("dialectica-lattice", _law_dial_lattice),
+        ("composite-structure", _law_composite_structure),
+    )),
+}
+
+SUITES = tuple(_SUITE_TABLE)
 # law name -> (body, the arguments it takes after the context)
-_LAWS = {
-    "reindex-identity": (_law_reindex_identity,),
-    "reindex-composition": (_law_reindex_composition,),
-    "reindex-monotone": (_law_reindex_monotone,),
-    "adjunction-exists-along": (_law_adjunction_along, "exists"),
-    "adjunction-forall-along": (_law_adjunction_along, "forall"),
-    "beck-chevalley-projections": (_law_bc_projections,),
-    "beck-chevalley-injections": (_law_bc_injections,),
-    "lat-fibers": (_law_lat_fibers,),
-    "reindex-preserves-lattice": (_law_reindex_preserves_lattice,),
-    "completion-leq-reflexive-ex": (_law_leq_reflexive, EX),
-    "completion-leq-reflexive-un": (_law_leq_reflexive, UN),
-    "completion-leq-transitive-ex": (_law_leq_transitive, EX),
-    "completion-leq-transitive-un": (_law_leq_transitive, UN),
-    "completion-reindex-functorial-ex": (_law_reindex_q_functorial, EX),
-    "completion-reindex-functorial-un": (_law_reindex_q_functorial, UN),
-    "completion-exists-pr-adjunction": (_law_pr_adjunction, EX, "exists"),
-    "completion-forall-pr-adjunction": (_law_pr_adjunction, UN, "forall"),
-    "completion-forall-pr-exp-adjunction": (_law_pr_adjunction, EX, "forall"),
-    "completion-inj-adjunction-ex": (_law_inj_adjunction, EX),
-    "completion-inj-adjunction-un": (_law_inj_adjunction, UN),
-    "completion-bc-exists-pr-strict": (_law_bc_pr_strict, EX, "exists"),
-    "completion-bc-forall-pr-strict": (_law_bc_pr_strict, UN, "forall"),
-    "completion-bc-forall-pr-exp-strict": (_law_bc_pr_strict, EX, "forall"),
-    "completion-bc-inj-strict-ex": (_law_bc_inj_strict, EX),
-    "completion-bc-inj-strict-un": (_law_bc_inj_strict, UN),
-    "completion-bounds-ex": (_law_bounds, EX),
-    "completion-bounds-un": (_law_bounds, UN),
-    "completion-meet-universal-ex": (_law_meet_join, EX, "meet"),
-    "completion-meet-universal-un": (_law_meet_join, UN, "meet"),
-    "completion-join-universal-ex": (_law_meet_join, EX, "join"),
-    "completion-join-universal-un": (_law_meet_join, UN, "join"),
-    "completion-reindex-lattice-ex": (_law_reindex_lattice, EX),
-    "completion-reindex-lattice-un": (_law_reindex_lattice, UN),
-    "duality-involution": (_law_duality_involution,),
-    "duality-order-matrix": (_law_duality_matrix,),
-    "duality-witnesses": (_law_duality_witnesses,),
-    "monad-unit-laws-ex": (_law_monad_units, EX),
-    "monad-unit-laws-un": (_law_monad_units, UN),
-    "monad-prenex": (_law_prenex,),
-    "monad-unit-forall-commute": (_law_unit_forall,),
-    "skolem-full-sweep": (_law_skolem_sweep,),
-    "skolem-sampled": (_law_skolem_sampled,),
-    "rule-of-choice": (_law_choice, EX),
-    "counterexample-property": (_law_choice, UN),
-    "dialectica-order-equivalence": (_law_dial_equivalence,),
-    "dialectica-roundtrip": (_law_dial_roundtrip,),
-    "dialectica-lattice": (_law_dial_lattice,),
-    "composite-structure": (_law_composite_structure,),
-}
-
-_SUITE_LAWS = {
-    "functoriality": (
-        "reindex-identity", "reindex-composition", "reindex-monotone",
-        "completion-leq-reflexive-ex", "completion-leq-transitive-ex", "completion-reindex-functorial-ex",
-        "completion-leq-reflexive-un", "completion-leq-transitive-un", "completion-reindex-functorial-un",
-    ),
-    "adjunctions": (
-        "adjunction-exists-along", "adjunction-forall-along",
-        "completion-exists-pr-adjunction", "completion-forall-pr-adjunction",
-        "completion-forall-pr-exp-adjunction",
-        "completion-inj-adjunction-ex", "completion-inj-adjunction-un",
-    ),
-    "beck-chevalley": (
-        "beck-chevalley-projections", "beck-chevalley-injections",
-        "completion-bc-exists-pr-strict", "completion-bc-forall-pr-strict",
-        "completion-bc-forall-pr-exp-strict",
-        "completion-bc-inj-strict-ex", "completion-bc-inj-strict-un",
-    ),
-    "lattice": (
-        "lat-fibers", "reindex-preserves-lattice",
-        "completion-bounds-ex", "completion-meet-universal-ex",
-        "completion-join-universal-ex", "completion-reindex-lattice-ex",
-        "completion-bounds-un", "completion-meet-universal-un",
-        "completion-join-universal-un", "completion-reindex-lattice-un",
-    ),
-    "duality": ("duality-involution", "duality-order-matrix", "duality-witnesses"),
-    "monad": ("monad-unit-laws-ex", "monad-unit-laws-un", "monad-prenex", "monad-unit-forall-commute"),
-    "skolem": ("skolem-full-sweep", "skolem-sampled", "rule-of-choice", "counterexample-property"),
-    "dialectica-oracle": (
-        "dialectica-order-equivalence", "dialectica-roundtrip", "dialectica-lattice", "composite-structure",
-    ),
-}
-
-SUITES = tuple(_SUITE_LAWS)
+_LAWS = {name: tuple(law) for base, rest in _SUITE_TABLE.values() for name, *law in base + rest}
+# the base-doctrine laws, which verify_doctrine runs
+_DOCTRINE_LAWS = tuple(name for base, _ in _SUITE_TABLE.values() for name, *_ in base)
 
 
 def run_laws(ctx: LawContext, laws) -> list:
@@ -1101,30 +1117,22 @@ def run_laws(ctx: LawContext, laws) -> list:
 
 # suite name -> callable(ctx) returning the suite's results; one callable
 # per suite, so that perfbench/spans.py can wrap each suite in a span
-_SUITE_FNS = {name: partial(run_laws, laws=laws) for name, laws in _SUITE_LAWS.items()}
+_SUITE_FNS = {suite: partial(run_laws, laws=tuple(name for name, *_ in base + rest))
+              for suite, (base, rest) in _SUITE_TABLE.items()}
 
 
 def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None) -> LawReport:
-    """Check functoriality, monotonicity, declared adjunctions and the
-    Beck-Chevalley squares of projections and injections, plus lattice
-    structure when the doctrine claims it.  Never passes silently: anything
-    cut short by a budget or a missing capability is reported SKIPPED with
-    the reason.  `max_card` bounds the objects over finite sets only, so
-    only there is it a bound of the report; a declared category is checked
-    on every object.
+    """Check the base-doctrine laws: functoriality, monotonicity, the
+    adjunctions along arrows, the Beck-Chevalley squares of projections and
+    injections, and lattice fibers.  Never passes silently: a law whose
+    capability the doctrine lacks, or one cut short by a budget, is
+    reported SKIPPED with the reason.  `max_card` bounds the objects over
+    finite sets only, so only there is it a bound of the report; a declared
+    category is checked on every object.
     """
-    laws = ["reindex-identity", "reindex-composition", "reindex-monotone"]
-    if CAP_ALONG_ALL in doc.caps or doc._has_any_adjoint_tables():
-        laws += ["adjunction-exists-along", "adjunction-forall-along"]
-    if CAP_EX_PR in doc.caps or CAP_UN_PR in doc.caps:
-        laws.append("beck-chevalley-projections")
-    if CAP_INJ_LEFT in doc.caps or CAP_INJ_RIGHT in doc.caps:
-        laws.append("beck-chevalley-injections")
-    if CAP_LAT in doc.caps:
-        laws += ["lat-fibers", "reindex-preserves-lattice"]
     bounds = {"max_card": max_card} if isinstance(doc.cat, SkelFinSet) else {}
     report = LawReport(suite="doctrine", bounds=bounds)
-    report.extend(run_laws(LawContext(doc, max_card, budget=budget), laws))
+    report.extend(run_laws(LawContext(doc, max_card, budget=budget), _DOCTRINE_LAWS))
     report.sort()
     return report
 

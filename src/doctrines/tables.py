@@ -29,7 +29,7 @@ import json
 from .doctrine import ALL_CAPS, Doctrine
 from .errors import CapabilityError, LoadError, SearchBudgetExceeded, natural, resolve_budget
 from .fincat import Arrow, SkelFinSet, _canonical, compose, identity_table, product_map
-from .poset import Preorder
+from .poset import Poset
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,7 @@ class TabularDoctrine(Doctrine):
 
     def __init__(self, cat: TableCat, fibers, reindex_tables, exists_tables=None, forall_tables=None, caps=frozenset()):
         super().__init__(cat, caps)
-        self.fibers = dict(fibers)  # obj -> Preorder
+        self.fibers = dict(fibers)  # obj -> Poset
         self._reindex = dict(reindex_tables)  # arrow -> tuple
         self._exists = dict(exists_tables or {})
         self._forall = dict(forall_tables or {})
@@ -506,23 +506,20 @@ class TabularDoctrine(Doctrine):
     def pred_from_json(self, a, data):
         return self._fiber(a).labels.index(data)
 
-    def _has_any_adjoint_tables(self) -> bool:
-        return bool(self._exists) or bool(self._forall)
 
-
-def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> TabularDoctrine:
+def load_doctrine(source, verify: bool = True) -> TabularDoctrine:
     """Load a tabular doctrine from a JSON file path, JSON text, or dict.
 
-    With verify=True (the default for untrusted input) the doctrine laws
-    are checked and the first violation raises LoadError naming the law.
+    Its ``category`` is read by :func:`load_category`: inline, or a file
+    path.  Each fiber is a poset.  With verify=True (the default for
+    untrusted input) the doctrine laws are checked and the first violation
+    raises LoadError naming the law.
     """
     data = _as_dict(source)
     _known_keys(data, ("category", "fibers", "reindex", "exists", "forall", "capabilities"), "a doctrine")
-    if cat is None:
-        catspec = data.get("category")
-        if catspec is None:
-            raise LoadError("doctrine file has no category and none was supplied")
-        cat = load_category(catspec)
+    if "category" not in data:
+        raise LoadError("doctrine file has no category")
+    cat = load_category(data["category"])
 
     fibers = {}
     for obj_id, spec in _block(data, "fibers", {}).items():
@@ -530,7 +527,7 @@ def load_doctrine(source, cat: TableCat | None = None, verify: bool = True) -> T
             raise LoadError(f"fiber declared over unknown object {obj_id!r}", law="fiber-object")
         try:
             elems = list(spec["elements"])
-            fibers[obj_id] = Preorder.from_pairs(elems, [tuple(p) for p in spec.get("leq", [])])
+            fibers[obj_id] = Poset.from_pairs(elems, [tuple(p) for p in spec.get("leq", [])])
         except KeyError as exc:
             raise LoadError(f"fiber over {obj_id!r} has no {exc} list", law="fiber-order") from None
         except (AttributeError, TypeError, ValueError) as exc:

@@ -284,6 +284,7 @@ class TestCheckDoctrine:
             lambda d: d["reindex"].update({ident: [0.2, 1.9]}),
             lambda d: d.update(exist={}),
             lambda d: d["category"]["structure"].update(prodcuts=[]),
+            lambda d: d.update(category={"objects": "garbage"}),
         ):
             code, _, err = run(capsys, "check-doctrine", self.make_doctrine_file(tmp_path, edit=edit))
             assert code == 3
@@ -293,16 +294,24 @@ class TestCheckDoctrine:
         code, _, err = run(capsys, "leq", "no-such-file.json", "also-missing.json")
         assert code == 3
 
-    def test_doctrine_and_category_read_alike(self, capsys):
-        """The doctrine argument and --category go through one reader of
-        "file path or inline JSON", so the same text fails the same way."""
+    def test_doctrine_and_category_read_alike(self, capsys, tmp_path):
+        """The doctrine argument and a path-valued `category` key go through
+        one reader of "file path or inline JSON", so the same text fails the
+        same way; the key is the one way to give the category."""
         for text, diagnostic in (("[1]", "expected a JSON object, got list"),
                                  ("no-such-file.json", "cannot read 'no-such-file.json'")):
             as_doctrine = run(capsys, "check-doctrine", text)
-            as_category = run(capsys, "check-doctrine", '{"fibers": {}}', "--category", text)
+            as_category = run(capsys, "check-doctrine", json.dumps({"category": text, "fibers": {}}))
             assert as_doctrine[0] == as_category[0] == 3
             assert as_doctrine[2] == as_category[2]
             assert as_doctrine[2].startswith("input error") and diagnostic in as_doctrine[2]
+        category = tmp_path / "category.json"
+        category.write_text(json.dumps(skel_category_json(1)))
+        path = self.make_doctrine_file(tmp_path, edit=lambda d: d.update(category=str(category)))
+        code, out, _ = run(capsys, "--json", "check-doctrine", path)
+        assert code == 0 and all(r["status"] != "FAIL" for r in json.loads(out)["results"])
+        code, err = usage_error(capsys, "check-doctrine", path, "--category", str(category))
+        assert code == 3 and "unrecognized arguments: --category" in err
 
 
 class TestUsage:

@@ -205,6 +205,15 @@ def tiny_doctrine_data(break_reindex=False, adjoints=False, swap_adjoints=False)
     return data
 
 
+def two_point_n0(data, leq):
+    """Make the fiber over n0 the two elements e, f ordered by `leq`, with
+    the reindex tables of the arrows out of n0 to match."""
+    data["fibers"]["n0"] = {"elements": ["e", "f"], "leq": leq}
+    for arrow in data["category"]["arrows"]:
+        if arrow["dom"] == "n0":
+            data["reindex"][arrow["id"]] = [0, 1] if arrow["cod"] == "n0" else [0, 0]
+
+
 class TestTabular:
     def test_roundtrip(self):
         doc = load_doctrine(tiny_doctrine_data())
@@ -243,6 +252,42 @@ class TestTabular:
         assert laws["skolem-full-sweep"].detail == "4 is not a declared object"
         for law in ("rule-of-choice", "counterexample-property"):
             assert laws[law].status == SKIPPED and "finite-sets base" in laws[law].detail
+
+    def test_laws_without_their_capability_skip(self):
+        """A law the doctrine has no structure for is SKIPPED with what is
+        missing, never PASSed on no checks."""
+        doc = load_doctrine(tiny_doctrine_data())
+        rep = run_suite("all", LawContext(doctrine=doc, max_card=1, qmax=1))
+        laws = {r.law: r for r in rep.results}
+        assert {law: (laws[law].status, laws[law].checked, laws[law].detail) for law in (
+            "adjunction-exists-along", "adjunction-forall-along", "beck-chevalley-projections",
+            "beck-chevalley-injections", "lat-fibers", "reindex-preserves-lattice")} == {
+            "adjunction-exists-along": (SKIPPED, 0, "no left adjoint to reindexing along any arrow"),
+            "adjunction-forall-along": (SKIPPED, 0, "no right adjoint to reindexing along any arrow"),
+            "beck-chevalley-projections": (SKIPPED, 0, "missing capabilities existential-over-projections"
+                                                       " and universal-over-projections"),
+            "beck-chevalley-injections": (SKIPPED, 0, "missing capabilities adjoints-over-injections-left"
+                                                      " and adjoints-over-injections-right"),
+            "lat-fibers": (SKIPPED, 0, "missing capability lat-fibers"),
+            "reindex-preserves-lattice": (SKIPPED, 0, "missing capability lat-fibers"),
+        }
+        assert [r.law for r in verify_doctrine(doc).results if r.status == PASS] == [
+            "reindex-composition", "reindex-identity", "reindex-monotone"]
+
+    def test_op_of_declared_adjoints_verified(self):
+        # order reversal swaps the declared adjoint tables, and both laws run
+        rep = verify_doctrine(op_doctrine(load_doctrine(tiny_doctrine_data(adjoints=True))))
+        laws = {r.law: (r.status, r.checked) for r in rep.results}
+        assert laws["adjunction-exists-along"] == laws["adjunction-forall-along"] == (PASS, 6)
+
+    def test_fiber_without_claimed_lattice_not_failed(self):
+        # two incomparable elements over n0: no top, no bottom, no lattice
+        data = tiny_doctrine_data()
+        two_point_n0(data, [])
+        doc = load_doctrine(data)
+        rep = run_suite("all", LawContext(doctrine=doc, max_card=1, qmax=1))
+        assert rep.failed == [] and verify_doctrine(doc).failed == []
+        assert {r.law: r.status for r in rep.results}["lat-fibers"] == SKIPPED
 
     def test_bounds_name_only_what_bounds_the_check(self):
         """`max_card` bounds the objects over finite sets; a declared
@@ -293,6 +338,8 @@ class TestTabular:
                 lambda d: d["fibers"]["n1"].update(leq=[5]),
                 lambda d: d["fibers"].update(n1=5),
                 lambda d: d["fibers"]["n1"].update(elements=["top", "top"], leq=[]),
+                # a fiber is a poset: a cycle of distinct elements is refused
+                lambda d: d.update(capabilities=["lat-fibers"]) or two_point_n0(d, [["e", "f"], ["f", "e"]]),
             ],
             "map-table": [
                 lambda d: d["reindex"].update({ident: [0.2, 1.9]}),
