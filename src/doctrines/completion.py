@@ -41,16 +41,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .doctrine import (
-    CAP_EX_PR,
-    CAP_INJ_LEFT,
-    CAP_INJ_RIGHT,
-    CAP_LAT,
-    CAP_UN_PR,
-    _SWAPPED_CAPS,
-    Doctrine,
-    op_doctrine,
-)
+from .doctrine import Doctrine, op_doctrine
 from .errors import CapabilityError, WitnessValidationError
 from .fincat import Arrow, SkelFinSet, _canonical, graph_pr1, reassoc_left, times_identity
 from .poset import Preorder
@@ -116,12 +107,12 @@ class Completion(Doctrine):
     """The doctrine P^ex (polarity EX) or P^un (polarity UN) over `base`.
 
     Both are the existential completion of `_ex_base` (`base` for EX,
-    op(base) for UN), UN read backwards.  Capabilities are those of that
-    existential completion, swapped back for UN: the free quantifier is
-    always present; injection adjoints and lattice structure need the
-    corresponding base adjoints, with constants of the base category
-    backing the adjunction arguments.  The opposite quantifier along
-    projections needs a universal base and exponentials (EX side only).
+    op(base) for UN), UN read backwards.  A provider raises the base's
+    CapabilityError for what the base lacks: the free quantifier is always
+    present; injection adjoints and lattice structure need the base's, with
+    constants of the base category backing the adjunction arguments; the
+    opposite quantifier along projections (EX only) needs the base's forall
+    along projections and exponentials.
 
     `budget` caps every enumerative scan of this completion's order
     decisions (None: DEFAULT_BUDGET); kernel answers spend none of it.
@@ -130,19 +121,11 @@ class Completion(Doctrine):
     def __init__(self, base: Doctrine, polarity: str, budget: int | None = None):
         if polarity not in (EX, UN):
             raise ValueError(f"polarity must be EX or UN, got {polarity!r}")
-        ex_base = base if polarity == EX else op_doctrine(base)
-        caps = {CAP_EX_PR} | (ex_base.caps & {CAP_INJ_LEFT, CAP_INJ_RIGHT})
-        if {CAP_LAT, CAP_INJ_LEFT} <= ex_base.caps:
-            caps.add(CAP_LAT)
-        if polarity == UN:
-            caps = {_SWAPPED_CAPS[c] for c in caps}
-        elif CAP_UN_PR in base.caps and base.cat.has_exponentials:
-            caps.add(CAP_UN_PR)
-        super().__init__(base.cat, caps)
+        super().__init__(base.cat)
         self.base = base
         self.polarity = polarity
         self.budget = budget
-        self._ex_base = ex_base
+        self._ex_base = base if polarity == EX else op_doctrine(base)
 
     # -- element plumbing ----------------------------------------------
 
@@ -252,13 +235,9 @@ class Completion(Doctrine):
         return self.elem(cat.coproduct(a, b), d, self.base.reindex(tl_inv, inner))
 
     def exists_inj(self, split, x: QuantElem) -> QuantElem:
-        if CAP_INJ_LEFT not in self.caps:
-            raise CapabilityError(f"missing capability {CAP_INJ_LEFT}")
         return self._inj_transport(split, x, self.base.exists_inj)
 
     def forall_inj(self, split, x: QuantElem) -> QuantElem:
-        if CAP_INJ_RIGHT not in self.caps:
-            raise CapabilityError(f"missing capability {CAP_INJ_RIGHT}")
         return self._inj_transport(split, x, self.base.forall_inj)
 
     # -- lattice structure -------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .completion import EX, UN, Completion, QuantElem, decide
-from .doctrine import CAP_UN_PR, Doctrine
+from .doctrine import Doctrine
 from .errors import CapabilityError, SearchBudgetExceeded, resolve_budget
 from .fincat import Arrow, _canonical, graph_pr1, times_identity
 from .poset import Preorder
@@ -49,13 +49,10 @@ def forall_pr_exp(comp: Completion, split, x: QuantElem) -> QuantElem:
     """Right adjoint to reindexing along proj1(split) in an existential
     completion whose base is universal and whose category has exponents:
     one reindex along :func:`eval_expand_arrow`, then the base's forall
-    along the projection (A1 x B^A2) x A2 -> A1 x B^A2."""
+    along the projection (A1 x B^A2) x A2 -> A1 x B^A2.  A missing
+    exponential or base forall raises its CapabilityError."""
     if comp.polarity != EX:
         raise CapabilityError("exponential forall lives in the existential completion")
-    if CAP_UN_PR not in comp.base.caps:
-        raise CapabilityError("base doctrine is not universal over projections")
-    if not comp.cat.has_exponentials:
-        raise CapabilityError("base category has no exponentials")
     a1, a2 = split
     comp._check_elem(x)
     cat = comp.cat

@@ -4,9 +4,14 @@ reversal.  Tabular doctrines loaded from files live in
 
 A doctrine assigns to every object A of a finite base category a poset of
 predicates and to every arrow f a monotone reindexing map P_f going the
-other way.  Instances are presented intensionally (callbacks plus
-capability flags) rather than as materialized functor tables, because the
-fibers of quantifier completions over a finite-sets base are infinite.
+other way.  Instances are presented intensionally, by callbacks, rather
+than as materialized functor tables, because the fibers of quantifier
+completions over a finite-sets base are infinite.
+
+A doctrine has a structure exactly when the method that builds it
+answers; one it lacks raises CapabilityError saying what is missing.  A
+quantifier along a projection or an injection is the adjoint along that
+arrow, and that is its default.
 
 Predicate values are instance-specific: the powerset doctrine uses int
 bitmasks over the carrier of A, tabular doctrines use indices into their
@@ -19,27 +24,19 @@ from . import core
 from .errors import CapabilityError, LoadError, SearchBudgetExceeded, natural
 from .fincat import Arrow, SkelFinSet
 
-CAP_EX_PR = "existential-over-projections"
-CAP_UN_PR = "universal-over-projections"
-CAP_INJ_LEFT = "adjoints-over-injections-left"
-CAP_INJ_RIGHT = "adjoints-over-injections-right"
-CAP_LAT = "lat-fibers"
-
-ALL_CAPS = frozenset({CAP_EX_PR, CAP_UN_PR, CAP_INJ_LEFT, CAP_INJ_RIGHT, CAP_LAT})
-
 
 class Doctrine:
     """Base interface; concrete instances override what they support.
 
-    Optional providers raise CapabilityError by default.  The `*_witness`
-    hooks let an instance expose a fast, bit-exact order-decision kernel
-    to the completion layer; returning NotImplemented selects the generic
-    enumerative search.
+    Optional providers raise CapabilityError by default; the quantifiers
+    along projections and injections are the adjoints along those arrows.
+    The `*_witness` hooks let an instance expose a fast, bit-exact
+    order-decision kernel to the completion layer; returning NotImplemented
+    selects the generic enumerative search.
     """
 
-    def __init__(self, cat, caps=frozenset()):
+    def __init__(self, cat):
         self.cat = cat
-        self.caps = frozenset(caps)
 
     # -- mandatory ----------------------------------------------------
 
@@ -71,17 +68,17 @@ class Doctrine:
 
     def exists_pr(self, split, p):
         """Left adjoint to reindexing along proj1(split): fiber(A1xA2) -> fiber(A1)."""
-        raise CapabilityError(f"missing capability {CAP_EX_PR}")
+        return self.exists_along(self.cat.proj1(*split), p)
 
     def forall_pr(self, split, p):
-        raise CapabilityError(f"missing capability {CAP_UN_PR}")
+        return self.forall_along(self.cat.proj1(*split), p)
 
     def exists_inj(self, split, p):
         """Left adjoint to reindexing along inj1(split): fiber(A) -> fiber(A+B)."""
-        raise CapabilityError(f"missing capability {CAP_INJ_LEFT}")
+        return self.exists_along(self.cat.inj1(*split), p)
 
     def forall_inj(self, split, p):
-        raise CapabilityError(f"missing capability {CAP_INJ_RIGHT}")
+        return self.forall_along(self.cat.inj1(*split), p)
 
     def exists_along(self, f: Arrow, p):
         raise CapabilityError(f"no left adjoint to reindexing along {f!r}")
@@ -150,12 +147,12 @@ class PowersetDoctrine(Doctrine):
     An object is its cardinality, so the kernel hooks hand objects to
     :mod:`core` as carrier sizes, and the kernels' bit layout is the
     skeleton's row-major products.  Direct and universal images exist
-    along every arrow, so all capability flags hold, strictly more than
-    the projection/injection classes the completion layer needs.
+    along every arrow, strictly more than the quantifiers along projections
+    and injections that the completion layer needs.
     """
 
     def __init__(self):
-        super().__init__(SkelFinSet(), ALL_CAPS)
+        super().__init__(SkelFinSet())
 
     def fiber_leq(self, a, p, q) -> bool:
         return p & ~q == 0
@@ -203,18 +200,6 @@ class PowersetDoctrine(Doctrine):
                 out &= ~(1 << v)
         return out
 
-    def exists_pr(self, split, p):
-        return self.exists_along(self.cat.proj1(*split), p)
-
-    def forall_pr(self, split, p):
-        return self.forall_along(self.cat.proj1(*split), p)
-
-    def exists_inj(self, split, p):
-        return self.exists_along(self.cat.inj1(*split), p)
-
-    def forall_inj(self, split, p):
-        return self.forall_along(self.cat.inj1(*split), p)
-
     def ex_witness(self, a, b, c, alpha, beta):
         return core.ex_witness(a, b, c, alpha, beta)
 
@@ -235,24 +220,16 @@ def powerset_doctrine() -> PowersetDoctrine:
     return PowersetDoctrine()
 
 
-_SWAPPED_CAPS = {
-    CAP_EX_PR: CAP_UN_PR,
-    CAP_UN_PR: CAP_EX_PR,
-    CAP_INJ_LEFT: CAP_INJ_RIGHT,
-    CAP_INJ_RIGHT: CAP_INJ_LEFT,
-    CAP_LAT: CAP_LAT,
-}
-
-
 class OpDoctrine(Doctrine):
     """The same carriers with every fiber order reversed.
 
     Reversal swaps adjoint handedness, so the quantifier providers and the
-    lattice providers trade places.
+    lattice providers trade places.  The quantifiers along projections and
+    injections forward to the base's own, which an instance may override.
     """
 
     def __init__(self, base: Doctrine):
-        super().__init__(base.cat, {_SWAPPED_CAPS[c] for c in base.caps})
+        super().__init__(base.cat)
         self.base = base
 
     def fiber_leq(self, a, p, q) -> bool:

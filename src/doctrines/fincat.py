@@ -100,8 +100,6 @@ class SkelFinSet:
     """Skeleton of finite sets: object n has carrier {0,..,n-1} and every
     total function between carriers is an arrow."""
 
-    has_exponentials = True
-
     terminal = 1
     initial = 0
 

@@ -13,11 +13,11 @@ suite names are read off it.  :func:`run_laws` is the one place that turns
 a body's outcome into a :class:`LawResult`.  :func:`verify_doctrine` runs
 the base-doctrine laws, :func:`run_suite` runs a suite.
 
-Each law decides for itself whether it applies: a body raises
-CapabilityError for what the doctrine lacks (no adjoint along any arrow,
-no claimed quantifier of a Beck-Chevalley square, no claimed lattice
-fibers), and the law is SKIPPED with that reason.  All laws iterate in
-deterministic ascending order, so a FAIL always carries the smallest
+Each law decides for itself whether it applies: the provider of a
+structure the doctrine lacks raises CapabilityError (no adjoint along any
+arrow, a missing quantifier of a Beck-Chevalley square, no top provider
+of a fiber), and the law is SKIPPED with that reason.  All laws iterate
+in deterministic ascending order, so a FAIL always carries the smallest
 counterexample found first; anything cut short by a search budget or a
 missing capability is reported SKIPPED, never PASS.
 
@@ -73,15 +73,7 @@ from .dialectica import (
     forall_pr_exp,
     nested_completion,
 )
-from .doctrine import (
-    CAP_EX_PR,
-    CAP_INJ_LEFT,
-    CAP_INJ_RIGHT,
-    CAP_LAT,
-    CAP_UN_PR,
-    Doctrine,
-    powerset_doctrine,
-)
+from .doctrine import Doctrine, powerset_doctrine
 from .errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
 from .fincat import Arrow, SkelFinSet, times_identity
 from .poset import Poset, lattice_check, poset_reflect
@@ -362,21 +354,12 @@ def _inj_squares(ctx, cat):
                 yield a, b, c, d, f, h, g
 
 
-def _claimed_sides(doc, *sides):
-    """The (side, quantifier) of each (side, capability, quantifier) of
-    `sides` whose capability the doctrine claims; a doctrine that claims
-    none of them does not have the law."""
-    claimed = [(side, quantify) for side, cap, quantify in sides if cap in doc.caps]
-    if not claimed:
-        raise CapabilityError("missing capabilities " + " and ".join(cap for _, cap, _ in sides))
-    return claimed
-
-
 def _law_bc_projections(ctx):
     """For f: D -> A and any C, quantifying along pr then substituting f
-    equals substituting fx1 then quantifying along pr'."""
+    equals substituting fx1 then quantifying along pr', for both
+    quantifiers."""
     doc = ctx.doctrine
-    sides = _claimed_sides(doc, ("exists", CAP_EX_PR, doc.exists_pr), ("forall", CAP_UN_PR, doc.forall_pr))
+    sides = ("exists", doc.exists_pr), ("forall", doc.forall_pr)
     checked = 0
     for f, c, ac, fx1 in _pr_squares(ctx, doc.cat):
         d, a = f.dom, f.cod
@@ -392,10 +375,10 @@ def _law_bc_projections(ctx):
 
 def _law_bc_injections(ctx):
     """Pullback squares of coproduct injections: the square with g = f+h
-    over j_C, j_A commutes with the injection adjoints."""
+    over j_C, j_A commutes with both injection adjoints."""
     doc = ctx.doctrine
     cat = doc.cat
-    sides = _claimed_sides(doc, ("exists", CAP_INJ_LEFT, doc.exists_inj), ("forall", CAP_INJ_RIGHT, doc.forall_inj))
+    sides = ("exists", doc.exists_inj), ("forall", doc.forall_inj)
     checked = 0
     for a, b, c, d, f, h, g in _inj_squares(ctx, cat):
         for eps in doc.fiber_elements(a):
@@ -409,18 +392,14 @@ def _law_bc_injections(ctx):
     return checked, None
 
 
-def _lattice_doctrine(ctx):
-    """The context's doctrine, which must claim lattice fibers: a fiber
-    that claims no lattice structure is never failed for lacking one."""
-    if CAP_LAT not in ctx.doctrine.caps:
-        raise CapabilityError(f"missing capability {CAP_LAT}")
-    return ctx.doctrine
-
-
 def _law_lat_fibers(ctx):
-    doc = _lattice_doctrine(ctx)
+    """Each fiber is a lattice under the doctrine's own lattice operations,
+    asked first: a fiber without them is SKIPPED, never FAILed."""
+    doc = ctx.doctrine
     checked = 0
     for a in ctx.objects:
+        top, bottom = doc.top(a), doc.bottom(a)
+        doc.meet(a, top, bottom), doc.join(a, top, bottom)  # asked only whether they answer
         elems = list(doc.fiber_elements(a))
         pos = Poset.from_le(elems, lambda p, q, a=a: doc.fiber_leq(a, p, q))
         rep = lattice_check(pos)
@@ -435,14 +414,14 @@ def _law_lat_fibers(ctx):
                 for op, combine, classes in (("meet", doc.meet, rep.meet), ("join", doc.join, rep.join)):
                     if not doc.fiber_eq(a, combine(a, p, q), elems[classes[key]]):
                         return checked, {"object": a, "p": p, "q": q, "op": op}
-        for op, bound, k in (("top", doc.top, rep.top), ("bottom", doc.bottom, rep.bottom)):
-            if not doc.fiber_eq(a, bound(a), elems[k]):
+        for op, bound, k in (("top", top, rep.top), ("bottom", bottom, rep.bottom)):
+            if not doc.fiber_eq(a, bound, elems[k]):
                 return checked, {"object": a, "op": op}
     return checked, None
 
 
 def _law_reindex_preserves_lattice(ctx):
-    doc = _lattice_doctrine(ctx)
+    doc = ctx.doctrine
     checked = 0
     for f in ctx.arrows():
         for p in doc.fiber_elements(f.cod):
@@ -1125,10 +1104,10 @@ def verify_doctrine(doc: Doctrine, max_card: int = 2, budget: int | None = None)
     """Check the base-doctrine laws: functoriality, monotonicity, the
     adjunctions along arrows, the Beck-Chevalley squares of projections and
     injections, and lattice fibers.  Never passes silently: a law whose
-    capability the doctrine lacks, or one cut short by a budget, is
-    reported SKIPPED with the reason.  `max_card` bounds the objects over
-    finite sets only, so only there is it a bound of the report; a declared
-    category is checked on every object.
+    structure's provider does not answer, or one cut short by a budget,
+    is reported SKIPPED with the reason.  `max_card` bounds the objects
+    over finite sets only, so only there is it a bound of the report; a
+    declared category is checked on every object.
     """
     bounds = {"max_card": max_card} if isinstance(doc.cat, SkelFinSet) else {}
     report = LawReport(suite="doctrine", bounds=bounds)

@@ -9,6 +9,10 @@ first-class, testable notion.
 
 from __future__ import annotations
 
+from .errors import SearchBudgetExceeded
+
+ORDER_MATRIX_CAP = 2**25  # the most entries (labels squared) `Preorder.from_le` builds
+
 
 class Preorder:
     """An order matrix on labels: validated when built, immutable, equal by fields within one class."""
@@ -99,8 +103,12 @@ class Preorder:
         never, so for k classes there are at most 2·n·k decisions and never
         more than n(n-1).  Every answer asked is the matrix entry of its
         pair, so a wrong answer stays in the matrix or fails validation.
+        A matrix of more than ORDER_MATRIX_CAP entries raises
+        SearchBudgetExceeded before the first decision.
         """
         labels = tuple(labels)
+        if len(labels) ** 2 > ORDER_MATRIX_CAP:
+            raise SearchBudgetExceeded(len(labels)**2, ORDER_MATRIX_CAP, f"order matrix of {len(labels)} elements")
         asked = {}
 
         def ask(i, j):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .completion import EX, UN, Completion, QuantElem
 from .dialectica import eval_expand_arrow
-from .doctrine import CAP_LAT, op_doctrine
+from .doctrine import op_doctrine
 from .errors import CapabilityError, WitnessValidationError
 from .fincat import Arrow, compose
 
@@ -39,12 +39,10 @@ def extract_counterexample(comp: Completion, x: QuantElem) -> Arrow | None:
     return _extract(comp, x, UN)
 
 
-# polarity -> (wrong-completion message, missing-lattice message, certificate name)
+# polarity -> (wrong-completion message, certificate name)
 _PRINCIPLES = {
-    EX: ("choice extraction works in the existential completion",
-         "rule of choice assumes base fibers with finite meets", "choice witness"),
-    UN: ("counterexample extraction works in the universal completion",
-         "counterexample property assumes base fibers with finite joins", "counterexample"),
+    EX: ("choice extraction works in the existential completion", "choice witness"),
+    UN: ("counterexample extraction works in the universal completion", "counterexample"),
 }
 
 
@@ -52,11 +50,9 @@ def _extract(comp: Completion, x: QuantElem, polarity: str) -> Arrow | None:
     """The arrow behind top <= x (EX) or x <= bottom (UN).  The UN
     certificate is checked as its mirror: the EX condition over the
     order-reversed base, whose top is the base's bottom."""
-    wrong_completion, missing_lattice, certificate = _PRINCIPLES[polarity]
+    wrong_completion, certificate = _PRINCIPLES[polarity]
     if comp.polarity != polarity:
         raise CapabilityError(wrong_completion)
-    if CAP_LAT not in comp.base.caps:
-        raise CapabilityError(missing_lattice)
     a = x.base
     if polarity == EX:
         w, doc = comp.leq(comp.top(a), x), comp.base

@@ -9,8 +9,8 @@ hit every cone once; a coproduct by the same routine on the opposite
 category; an exponential by currying.  It keeps the one mediating arrow of
 every cone and cocone: ``pair`` and ``copair`` look that arrow up, and
 ``product_map`` is built from them as ``<f . pr1, g . pr2>``.  The
-distributivity isos exist on finite sets only; no doctrine over a
-:class:`TableCat` has the injection adjoints that use them.
+distributivity isos exist on finite sets only: a completion over a
+:class:`TableCat` raises CapabilityError for its injection quantifiers.
 
 A :class:`TabularDoctrine` gives every fiber and reindex map explicitly;
 its predicates are indices into the declared fiber posets.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 
-from .doctrine import ALL_CAPS, Doctrine
+from .doctrine import Doctrine
 from .errors import CapabilityError, LoadError, SearchBudgetExceeded, natural, resolve_budget
 from .fincat import Arrow, SkelFinSet, _canonical, compose, identity_table, product_map
 from .poset import Poset
@@ -65,10 +65,6 @@ class TableCat:
         _verify_structure(self)
 
     # -- interface ----------------------------------------------------
-
-    @property
-    def has_exponentials(self):
-        return bool(self._exponentials)
 
     def objects(self):
         return list(self._cards)
@@ -165,6 +161,10 @@ class TableCat:
 
     def ev(self, b, a) -> Arrow:
         return self._chosen(self._exponentials, "exponential", b, a)[1]
+
+    def theta_inv(self, *objects):
+        raise CapabilityError("distributivity isos exist on finite sets only")
+    theta_left_inv = theta_inv
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +458,15 @@ def skel_category_json(max_card: int) -> dict:
 class TabularDoctrine(Doctrine):
     """A doctrine with every fiber and reindex map given explicitly.
 
-    Predicates are indices into the declared fiber posets.  Built from
-    untrusted files, so :func:`load_doctrine` re-verifies the laws unless
-    told not to.
+    Predicates are indices into the declared fiber posets.  Its structure
+    is read off its tables: the adjoint tables are its quantifiers along
+    every arrow, projections and injections included, and it has no
+    lattice operations.  Built from untrusted files, so
+    :func:`load_doctrine` re-verifies the laws unless told not to.
     """
 
-    def __init__(self, cat: TableCat, fibers, reindex_tables, exists_tables=None, forall_tables=None, caps=frozenset()):
-        super().__init__(cat, caps)
+    def __init__(self, cat: TableCat, fibers, reindex_tables, exists_tables=None, forall_tables=None):
+        super().__init__(cat)
         self.fibers = dict(fibers)  # obj -> Poset
         self._reindex = dict(reindex_tables)  # arrow -> tuple
         self._exists = dict(exists_tables or {})
@@ -516,7 +518,7 @@ def load_doctrine(source, verify: bool = True) -> TabularDoctrine:
     raises LoadError naming the law.
     """
     data = _as_dict(source)
-    _known_keys(data, ("category", "fibers", "reindex", "exists", "forall", "capabilities"), "a doctrine")
+    _known_keys(data, ("category", "fibers", "reindex", "exists", "forall"), "a doctrine")
     if "category" not in data:
         raise LoadError("doctrine file has no category")
     cat = load_category(data["category"])
@@ -556,15 +558,7 @@ def load_doctrine(source, verify: bool = True) -> TabularDoctrine:
         if arrow not in tables["reindex"]:
             raise LoadError(f"arrow {name!r} has no reindex table", law="map-table")
 
-    try:
-        caps = frozenset(_block(data, "capabilities", []))
-    except TypeError as exc:
-        raise LoadError(f"bad capability list: {exc}", law="capabilities") from None
-    unknown = caps - ALL_CAPS
-    if unknown:
-        raise LoadError(f"unknown capability flags {sorted(unknown)}", law="capabilities")
-
-    doc = TabularDoctrine(cat, fibers, tables["reindex"], tables["exists"], tables["forall"], caps)
+    doc = TabularDoctrine(cat, fibers, tables["reindex"], tables["exists"], tables["forall"])
     if verify:
         from .laws import verify_doctrine
 

@@ -1,6 +1,7 @@
 """Entry point: subcommands, exit-code vocabulary, report determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -164,6 +165,13 @@ class TestDialectica:
         payload = json.loads(out)
         assert (payload["objects"], payload["classes"], payload["lattice"]) == (689, 4, True)
 
+    def test_dial_lattice_bound_4_refused(self, capsys):
+        # 74,963 objects: the order matrix is refused before any decision
+        start = time.perf_counter()
+        code, _, err = run(capsys, "dial-lattice", "--bound", "4")
+        assert code == 4 and time.perf_counter() - start < 10
+        assert "exceeds budget 33554432 (order matrix of 74963 elements)" in err
+
     def test_dial_lattice_dot(self, capsys):
         code, out, _ = run(capsys, "dial-lattice", "--bound", "1", "--dot")
         assert code == 0
@@ -215,7 +223,7 @@ class TestVerifyLaws:
 
 
 class TestCheckDoctrine:
-    def make_doctrine_file(self, tmp_path, broken=False, capabilities=(), edit=None):
+    def make_doctrine_file(self, tmp_path, broken=False, edit=None):
         cat_data = skel_category_json(1)
         fibers = {
             "n0": {"elements": ["e"], "leq": []},
@@ -227,7 +235,7 @@ class TestCheckDoctrine:
                 reindex[arrow["id"]] = [0] * (2 if arrow["cod"] == "n1" else 1)
             else:
                 reindex[arrow["id"]] = [1, 1] if broken else [0, 1]
-        data = {"category": cat_data, "fibers": fibers, "reindex": reindex, "capabilities": list(capabilities)}
+        data = {"category": cat_data, "fibers": fibers, "reindex": reindex}
         if edit is not None:
             edit(data)
         path = tmp_path / ("broken.json" if broken else "good.json")
@@ -245,18 +253,22 @@ class TestCheckDoctrine:
         assert code == 2
         assert "FAIL" in out and "reindex-identity" in out
 
-    def test_claimed_capabilities_without_providers_skip(self, capsys, tmp_path):
-        path = self.make_doctrine_file(
-            tmp_path, capabilities=["existential-over-projections", "lat-fibers"]
-        )
+    def test_capabilities_key_exits_3(self, capsys, tmp_path):
+        # structure is read off the tables, so a file cannot claim any
+        path = self.make_doctrine_file(tmp_path, edit=lambda d: d.update(capabilities=["lat-fibers"]))
+        code, _, err = run(capsys, "check-doctrine", path)
+        assert code == 3
+        assert err.startswith("input error: [format] unknown key 'capabilities'")
+
+    def test_non_lattice_fiber_skipped(self, capsys, tmp_path):
+        """A fiber that is not a lattice passes: a tabular doctrine has no
+        lattice providers, so its lattice laws are SKIPPED, never FAILed."""
+        path = self.make_doctrine_file(tmp_path, edit=lambda d: d["fibers"]["n1"].update(leq=[]))
         code, out, _ = run(capsys, "--json", "check-doctrine", path)
         assert code == 0
-        results = {r["law"]: r for r in json.loads(out)["results"]}
-        assert results["beck-chevalley-projections"]["status"] == "SKIPPED"
-        assert results["beck-chevalley-projections"]["detail"] == "missing capability existential-over-projections"
-        for law in ("lat-fibers", "reindex-preserves-lattice"):
-            assert results[law]["status"] == "SKIPPED"
-            assert results[law]["detail"] == "no meet provider"
+        results = {r["law"]: (r["status"], r["detail"]) for r in json.loads(out)["results"]}
+        assert results["lat-fibers"] == ("SKIPPED", "no top provider")
+        assert results["reindex-preserves-lattice"] == ("SKIPPED", "no meet provider")
 
     def test_no_card_bound(self, capsys, tmp_path):
         """A tabular doctrine is checked on every declared object, so the

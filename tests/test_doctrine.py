@@ -5,7 +5,6 @@ import pytest
 
 from doctrines.completion import EX, UN, Completion, duality_transport
 from doctrines.doctrine import (
-    ALL_CAPS,
     OpDoctrine,
     PowersetDoctrine,
     indices_from_mask,
@@ -205,6 +204,15 @@ def tiny_doctrine_data(break_reindex=False, adjoints=False, swap_adjoints=False)
     return data
 
 
+def full_adjoint_data():
+    """The tiny doctrine with adjoint tables along every arrow, n0's identity
+    (the projection n0 x n0 -> n0) included."""
+    data = tiny_doctrine_data(adjoints=True)
+    ident = next(a["id"] for a in data["category"]["arrows"] if a["dom"] == a["cod"] == "n0")
+    data["exists"][ident] = data["forall"][ident] = [0]
+    return data
+
+
 def two_point_n0(data, leq):
     """Make the fiber over n0 the two elements e, f ordered by `leq`, with
     the reindex tables of the arrows out of n0 to match."""
@@ -254,8 +262,8 @@ class TestTabular:
             assert laws[law].status == SKIPPED and "finite-sets base" in laws[law].detail
 
     def test_laws_without_their_capability_skip(self):
-        """A law the doctrine has no structure for is SKIPPED with what is
-        missing, never PASSed on no checks."""
+        """A law the doctrine has no structure for is SKIPPED with the
+        provider's reason, never PASSed on no checks."""
         doc = load_doctrine(tiny_doctrine_data())
         rep = run_suite("all", LawContext(doctrine=doc, max_card=1, qmax=1))
         laws = {r.law: r for r in rep.results}
@@ -264,15 +272,43 @@ class TestTabular:
             "beck-chevalley-injections", "lat-fibers", "reindex-preserves-lattice")} == {
             "adjunction-exists-along": (SKIPPED, 0, "no left adjoint to reindexing along any arrow"),
             "adjunction-forall-along": (SKIPPED, 0, "no right adjoint to reindexing along any arrow"),
-            "beck-chevalley-projections": (SKIPPED, 0, "missing capabilities existential-over-projections"
-                                                       " and universal-over-projections"),
-            "beck-chevalley-injections": (SKIPPED, 0, "missing capabilities adjoints-over-injections-left"
-                                                      " and adjoints-over-injections-right"),
-            "lat-fibers": (SKIPPED, 0, "missing capability lat-fibers"),
-            "reindex-preserves-lattice": (SKIPPED, 0, "missing capability lat-fibers"),
+            "beck-chevalley-projections": (SKIPPED, 0, "no left adjoint table for Arrow('n0' -> 'n0', [])"),
+            "beck-chevalley-injections": (SKIPPED, 0, "no chosen coproduct for ('n0','n0')"),
+            "lat-fibers": (SKIPPED, 0, "no top provider"),
+            "reindex-preserves-lattice": (SKIPPED, 0, "no meet provider"),
         }
         assert [r.law for r in verify_doctrine(doc).results if r.status == PASS] == [
             "reindex-composition", "reindex-identity", "reindex-monotone"]
+
+    def test_quantifiers_along_projections_read_off_the_tables(self):
+        """With adjoint tables along every arrow, the quantifiers along the
+        chosen projections are those tables, and the projection
+        Beck-Chevalley law runs, also under order reversal."""
+        doc = load_doctrine(full_adjoint_data())
+        for split in (("n0", "n0"), ("n0", "n1"), ("n1", "n0"), ("n1", "n1")):
+            pr = doc.cat.proj1(*split)
+            for p in doc.fiber_elements(pr.dom):
+                assert doc.exists_pr(split, p) == doc.exists_along(pr, p) == doc._exists[pr][p]
+                assert doc.forall_pr(split, p) == doc.forall_along(pr, p) == doc._forall[pr][p]
+        for d in (doc, op_doctrine(doc)):
+            laws = {r.law: (r.status, r.checked) for r in verify_doctrine(d).results}
+            assert laws["beck-chevalley-projections"] == (PASS, 8)
+            assert laws["beck-chevalley-injections"] == (SKIPPED, 0)
+
+    def test_completion_refuses_injection_quantifiers_over_a_file(self):
+        # the base answers along the chosen injection from its tables, but the
+        # completion's transport needs the distributivity isos of finite sets
+        data = full_adjoint_data()
+        data["category"]["structure"]["coproducts"] = [
+            {"left": f"n{a}", "right": f"n{b}", "obj": f"n{a + b}",
+             "inj1": f"a{a}_{a + b}_" + "_".join(map(str, range(a))),
+             "inj2": f"a{b}_{a + b}_" + "_".join(str(a + i) for i in range(b))}
+            for a, b in ((0, 0), (0, 1), (1, 0))]
+        doc = load_doctrine(data)
+        assert doc.exists_inj(("n1", "n0"), 1) == 1
+        comp = Completion(doc, EX)
+        with pytest.raises(CapabilityError, match="distributivity isos exist on finite sets only"):
+            comp.exists_inj(("n1", "n0"), comp.elem("n1", "n1", 1))
 
     def test_op_of_declared_adjoints_verified(self):
         # order reversal swaps the declared adjoint tables, and both laws run
@@ -312,11 +348,14 @@ class TestTabular:
         assert e.value.law == "map-table"
 
     def test_unknown_capability(self):
-        data = tiny_doctrine_data()
-        data["capabilities"] = ["levitation"]
-        with pytest.raises(LoadError) as e:
-            load_doctrine(data)
-        assert e.value.law == "capabilities"
+        # a `capabilities` block is refused, known names or not: structure
+        # is read off the tables
+        for caps in (["levitation"], ["lat-fibers"]):
+            data = tiny_doctrine_data(adjoints=True)
+            data["capabilities"] = caps
+            with pytest.raises(LoadError, match="unknown key 'capabilities'") as e:
+                load_doctrine(data)
+            assert e.value.law == "format"
 
     def test_unknown_top_level_key(self):
         # a misspelt `exists` block is named, not dropped with its adjoints
@@ -325,9 +364,6 @@ class TestTabular:
         with pytest.raises(LoadError, match="unknown key 'exist'") as e:
             load_doctrine(data)
         assert e.value.law == "format"
-
-    def test_all_caps_known(self):
-        assert "existential-over-projections" in ALL_CAPS
 
     def test_malformed_files(self):
         ident = next(a["id"] for a in skel_category_json(1)["arrows"] if a["dom"] == a["cod"] == "n1")
@@ -339,7 +375,7 @@ class TestTabular:
                 lambda d: d["fibers"].update(n1=5),
                 lambda d: d["fibers"]["n1"].update(elements=["top", "top"], leq=[]),
                 # a fiber is a poset: a cycle of distinct elements is refused
-                lambda d: d.update(capabilities=["lat-fibers"]) or two_point_n0(d, [["e", "f"], ["f", "e"]]),
+                lambda d: two_point_n0(d, [["e", "f"], ["f", "e"]]),
             ],
             "map-table": [
                 lambda d: d["reindex"].update({ident: [0.2, 1.9]}),
@@ -351,7 +387,6 @@ class TestTabular:
                 lambda d: d.update(reindex=[]),
                 lambda d: d.update(category=[]),
             ],
-            "capabilities": [lambda d: d.update(capabilities=[[1]])],
         }
         for law, cases in edits.items():
             for edit in cases:

@@ -344,7 +344,9 @@ class TestLoader:
         assert len(data["structure"]["coproducts"]) == 6
         assert len(data["structure"]["exponentials"]) == 8
         cat = load_category(data)
-        assert cat.has_exponentials
+        for e in data["structure"]["exponentials"]:
+            assert cat.exponential(e["base"], e["exp"]) == e["obj"]
+            assert cat.ev(e["base"], e["exp"]) == cat.names[e["ev"]]
         ev = cat.ev("n2", "n1")
         assert cat.exponential("n2", "n1") == "n2" and ev.table == C.ev(2, 1).table
 
