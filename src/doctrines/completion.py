@@ -39,11 +39,12 @@ cardinality at most k, which is what every exhaustive law check runs on.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .doctrine import Doctrine, op_doctrine
 from .errors import CapabilityError, WitnessValidationError
-from .fincat import Arrow, SkelFinSet, _canonical, graph_pr1, reassoc_left, times_identity
+from .fincat import Arrow, SkelFinSet, _canonical, graph_pr1, make_arrow, reassoc_left, times_identity
 from .poset import Preorder
 
 EX = "EX"
@@ -64,6 +65,10 @@ class QuantElem(NamedTuple):
         return f"QuantElem({self.polarity}, base={self.base!r}, qobj={self.qobj!r}, pred={self.pred!r})"
 
 
+# QuantElem from one (polarity, base, qobj, pred) tuple, without a Python-level frame
+make_elem = partial(tuple.__new__, QuantElem)
+
+
 class WitnessArrow(NamedTuple):
     """A certificate for a positive order decision.
 
@@ -74,6 +79,10 @@ class WitnessArrow(NamedTuple):
 
     arrow: Arrow
     direction: str
+
+
+# WitnessArrow from one (arrow, direction) tuple, without a Python-level frame
+make_witness = partial(tuple.__new__, WitnessArrow)
 
 
 def decide(answer, certify, x, y, scan, *scan_args):
@@ -130,7 +139,7 @@ class Completion(Doctrine):
     # -- element plumbing ----------------------------------------------
 
     def elem(self, base_obj, qobj, pred) -> QuantElem:
-        return QuantElem(self.polarity, base_obj, qobj, pred)
+        return make_elem((self.polarity, base_obj, qobj, pred))
 
     def _check_elem(self, x: QuantElem):
         if x.polarity != self.polarity:
@@ -150,9 +159,11 @@ class Completion(Doctrine):
         complete scan without a hit).
 
         The kernel route is one hook call, one :meth:`certifies` call and
-        one WitnessArrow around the hook's own tuple; a "no" returns before
-        anything is built.  Only a hook that returns NotImplemented goes
-        through :func:`decide`, which runs the scan.
+        one WitnessArrow around an Arrow of the hook's own tuple; a "no"
+        returns before anything is built.  Both records are built by
+        :data:`make_arrow` and :data:`make_witness`, one C call each, not
+        by their Python-level constructors.  Only a hook that returns
+        NotImplemented goes through :func:`decide`, which runs the scan.
         """
         polarity = self.polarity
         if x.polarity != polarity or y.polarity != polarity or x.base != y.base:
@@ -169,10 +180,10 @@ class Completion(Doctrine):
             if arrow is None:
                 return None
         else:
-            arrow = Arrow(src, hi.qobj, answer)
+            arrow = make_arrow((src, hi.qobj, answer))
             if not self.certifies(x, y, arrow):
                 raise _uncertified(arrow, x, y)
-        return WitnessArrow(arrow, _DIRECTION[polarity])
+        return make_witness((arrow, _DIRECTION[polarity]))
 
     def fiber_leq(self, a, x, y) -> bool:
         return self.leq(x, y) is not None
@@ -189,8 +200,8 @@ class Completion(Doctrine):
 
     def reindex(self, f: Arrow, y: QuantElem) -> QuantElem:
         """Substitution along f: D -> A, keeping the quantified object."""
-        self._check_elem(y)
-        if y.base != f.cod:
+        if y.polarity != self.polarity or y.base != f.cod:
+            self._check_elem(y)
             raise ValueError(f"element over {y.base!r} cannot be reindexed along arrow into {f.cod!r}")
         return self.elem(f.dom, y.qobj, self.base.reindex(times_identity(self.cat, f, y.qobj), y.pred))
 
@@ -249,12 +260,16 @@ class Completion(Doctrine):
         return self._free_bottom(a) if self.polarity == EX else self._free_top(a)
 
     def meet(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
-        self._check_pair(x, y)
-        return self._pointwise(a, x, y) if self.polarity == EX else self._summed(a, x, y)
+        polarity = self.polarity
+        if x.polarity != polarity or y.polarity != polarity or x.base != y.base:
+            self._check_pair(x, y)
+        return self._pointwise(a, x, y) if polarity == EX else self._summed(a, x, y)
 
     def join(self, a, x: QuantElem, y: QuantElem) -> QuantElem:
-        self._check_pair(x, y)
-        return self._summed(a, x, y) if self.polarity == EX else self._pointwise(a, x, y)
+        polarity = self.polarity
+        if x.polarity != polarity or y.polarity != polarity or x.base != y.base:
+            self._check_pair(x, y)
+        return self._summed(a, x, y) if polarity == EX else self._pointwise(a, x, y)
 
     def _free_top(self, a) -> QuantElem:
         t = self.cat.terminal
@@ -303,18 +318,23 @@ class Completion(Doctrine):
 
     # -- bounded materialization ----------------------------------------------
 
-    def bounded_fiber(self, a, qmax: int, preds=None) -> list:
-        """Every element over `a` with quantified-object cardinality at most
-        qmax, in deterministic (qobj, predicate) order."""
+    def _bounded_preds(self, a, qmax: int, preds=None) -> list:
+        """(q, the predicates over A x q) for each q <= qmax."""
         if not isinstance(self.cat, SkelFinSet):
             raise CapabilityError("bounded fibers need the finite-sets base, whose objects are cardinalities")
         if preds is None:
             preds = self.base.fiber_elements
-        out = []
-        for q in range(qmax + 1):
-            for p in preds(self.cat.product(a, q)):
-                out.append(self.elem(a, q, p))
-        return out
+        return [(q, preds(self.cat.product(a, q))) for q in range(qmax + 1)]
+
+    def bounded_fiber(self, a, qmax: int, preds=None) -> list:
+        """Every element over `a` with quantified-object cardinality at most
+        qmax, in deterministic (qobj, predicate) order."""
+        return [self.elem(a, q, p) for q, ps in self._bounded_preds(a, qmax, preds) for p in ps]
+
+    def bounded_size(self, a, qmax: int) -> int:
+        """The length of ``bounded_fiber(a, qmax)``, from the base's fiber
+        counts, building no element."""
+        return sum(len(ps) for _, ps in self._bounded_preds(a, qmax))
 
     def bounded_preorder(self, a, qmax: int):
         """The bounded fiber as an explicit Preorder (labels are elements),

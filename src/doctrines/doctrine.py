@@ -162,7 +162,7 @@ class PowersetDoctrine(Doctrine):
 
     def fiber_elements(self, a):
         if 2**a > FIBER_ENUM_CAP:
-            raise SearchBudgetExceeded(2**a, FIBER_ENUM_CAP, f"fiber over {a!r}")
+            raise SearchBudgetExceeded(2**a, FIBER_ENUM_CAP, f"fiber over {a!r}", "fiber elements")
         return range(2**a)
 
     def reindex(self, f: Arrow, p):

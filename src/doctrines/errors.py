@@ -35,17 +35,20 @@ class DoctrineError(Exception):
 
 
 class SearchBudgetExceeded(DoctrineError):
-    """A hom-set scan would exceed the configured budget.
+    """A scan or a materialization would exceed its budget.
 
     Raised instead of returning a negative answer, so order decisions are
     never unsound: a witness found within budget is still reported, but
-    "no witness" is only ever the result of a complete scan.
+    "no witness" is only ever the result of a complete scan.  `unit` says
+    what `needed` and `budget` count: the candidate arrows of a hom-set
+    scan unless the caller names another unit (order-matrix entries, fiber
+    elements, ...).
     """
 
-    def __init__(self, needed: int, budget: int, context: str = ""):
+    def __init__(self, needed: int, budget: int, context: str = "", unit: str = "candidate arrows"):
         self.needed = needed
         self.budget = budget
-        msg = f"search space of {needed} candidate arrows exceeds budget {budget}"
+        msg = f"search space of {needed} {unit} exceeds budget {budget}"
         if context:
             msg += f" ({context})"
         super().__init__(msg)

@@ -44,7 +44,10 @@ none.
 Every other map that depends on arrows is built on every call.  On
 :class:`SkelFinSet` ``compose``, ``pair``, ``copair`` and ``product_map``
 are each one pass of table arithmetic; ``f x g`` is the row-major table
-``f(a)*|B'| + g(b)``.
+``f(a)*|B'| + g(b)``.  These, and ``iter_hom``, build their arrows with
+:data:`make_arrow`, one C call on a ``(dom, cod, table)`` tuple, instead
+of ``Arrow(dom, cod, table)``, whose generated ``__new__`` is a Python
+frame of its own; the record is the same either way.
 """
 
 from __future__ import annotations
@@ -67,11 +70,15 @@ class Arrow(NamedTuple):
         return f"Arrow({self.dom!r} -> {self.cod!r}, {list(self.table)})"
 
 
+# Arrow from one (dom, cod, table) tuple, without a Python-level frame
+make_arrow = functools.partial(tuple.__new__, Arrow)
+
+
 def compose(g: Arrow, f: Arrow) -> Arrow:
     """g after f."""
     if f.cod != g.dom:
         raise ValueError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
-    return Arrow(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    return make_arrow((f.dom, g.cod, tuple(g.table[v] for v in f.table)))
 
 
 def identity_table(n: int) -> tuple:
@@ -126,7 +133,7 @@ class SkelFinSet:
         """
         cap = resolve_budget(budget)
         if a == 0:
-            yield Arrow(a, b, ())
+            yield make_arrow((a, b, ()))
             return
         if b == 0:
             return
@@ -135,7 +142,7 @@ class SkelFinSet:
         while True:
             if count >= cap:
                 raise SearchBudgetExceeded(self.hom_size(a, b), cap, f"Hom({a},{b})")
-            yield Arrow(a, b, tuple(table))
+            yield make_arrow((a, b, tuple(table)))
             count += 1
             i = a - 1
             while i >= 0:
@@ -165,7 +172,7 @@ class SkelFinSet:
         if f.dom != g.dom:
             raise ValueError("pairing needs a common domain")
         b = g.cod
-        return Arrow(f.dom, f.cod * b, tuple(fv * b + gv for fv, gv in zip(f.table, g.table)))
+        return make_arrow((f.dom, f.cod * b, tuple(fv * b + gv for fv, gv in zip(f.table, g.table))))
 
     # -- coproducts --------------------------------------------------
 
@@ -184,7 +191,7 @@ class SkelFinSet:
         """[f, g]: A + B -> C for f: A -> C, g: B -> C."""
         if f.cod != g.cod:
             raise ValueError("copairing needs a common codomain")
-        return Arrow(f.dom + g.dom, f.cod, f.table + g.table)
+        return make_arrow((f.dom + g.dom, f.cod, f.table + g.table))
 
     # -- terminal ----------------------------------------------------
 
@@ -254,7 +261,7 @@ def product_map(cat, f: Arrow, g: Arrow) -> Arrow:
     if isinstance(cat, SkelFinSet):
         b2 = g.cod
         table = tuple([fa * b2 + gb for fa in f.table for gb in g.table])
-        return Arrow(f.dom * g.dom, f.cod * b2, table)
+        return make_arrow((f.dom * g.dom, f.cod * b2, table))
     p1 = cat.proj1(f.dom, g.dom)
     p2 = cat.proj2(f.dom, g.dom)
     return cat.pair(cat.compose(f, p1), cat.compose(g, p2))

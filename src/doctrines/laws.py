@@ -16,7 +16,9 @@ the base-doctrine laws, :func:`run_suite` runs a suite.
 Each law decides for itself whether it applies: the provider of a
 structure the doctrine lacks raises CapabilityError (no adjoint along any
 arrow, a missing quantifier of a Beck-Chevalley square, no top provider
-of a fiber), and the law is SKIPPED with that reason.  All laws iterate
+of a fiber), and the law is SKIPPED with that reason.  A Beck-Chevalley
+law leaves out each square whose chosen product or coproduct the
+category lacks, and is SKIPPED only when no square is left.  All laws iterate
 in deterministic ascending order, so a FAIL always carries the smallest
 counterexample found first; anything cut short by a search budget or a
 missing capability is reported SKIPPED, never PASS.
@@ -30,8 +32,13 @@ about over its base (the bounded fiber ``bounded_fiber(a, qmax)``, whose
 slots it lists once a law asks for it, then meets, joins, quantifier
 images and reindexed elements, whatever their quantified object) and
 decides each ordered pair with ``Completion.leq`` the first time it is
-asked, keeping the answer in two bits.  Every boolean order question of a
-law goes through it: ``ctx.le``/``ctx.eq`` for single pairs, and slot
+asked, keeping the answer in two bits of one byte row per element
+(undecided, no or yes), read back with one index, one shift and one
+mask.  Before a memo lists a bounded fiber it counts the fiber's elements
+from the base's fiber counts, and a fiber whose pairs number more than
+the order-matrix cap is refused with SearchBudgetExceeded, so the law is
+SKIPPED instead of running out of memory.  Every boolean order question
+of a law goes through it: ``ctx.le``/``ctx.eq`` for single pairs, and slot
 indices of ``ctx.order`` in the hot loops.  Only the laws that need the
 witness arrow itself (duality witnesses, Skolemization and choice) call
 ``leq`` directly.  A completion answers a pair the same way every time,
@@ -76,7 +83,7 @@ from .dialectica import (
 from .doctrine import Doctrine, powerset_doctrine
 from .errors import CapabilityError, SearchBudgetExceeded, WitnessValidationError
 from .fincat import Arrow, SkelFinSet, times_identity
-from .poset import Poset, lattice_check, poset_reflect
+from .poset import ORDER_MATRIX_CAP, Poset, lattice_check, poset_reflect
 from .principles import extract_choice, extract_counterexample, skolem_check
 from .report import FAIL, PASS, SKIPPED, LawReport, LawResult
 
@@ -85,15 +92,20 @@ class _Order:
     """The order of one completion over one base object, decided lazily and
     asked by slot.
 
-    ``items[i]`` is the element in slot i and ``index`` maps it back; bit j
-    of ``known[i]`` says whether items[i] <= items[j] has been decided, bit
-    j of ``value[i]`` holds the answer.  ``fiber`` is the bounded fiber and
+    ``items[i]`` is the element in slot i and ``index`` maps it back.
+    ``rows[i]`` holds row i of the order two bits per pair, as a
+    little-endian bit string: bits 2j and 2j+1 are the state of
+    items[i] <= items[j], 0 undecided, 1 no, 3 yes.  A row is a bytearray
+    reaching at most 64 pairs past the last pair it has decided, so a
+    lookup is one index, one shift and one mask whatever the row's width;
+    shifting a whole integer row would cost as much as the row is wide,
+    thousands of bits at ``qmax=3``.  ``fiber`` is the bounded fiber and
     ``slots`` the slot of each of its elements, both None until
     :meth:`LawContext.order` fills them; elements asked about earlier keep
     their slots and answers.
     """
 
-    __slots__ = ("comp", "fiber", "slots", "items", "index", "known", "value")
+    __slots__ = ("comp", "fiber", "slots", "items", "index", "rows")
 
     def __init__(self, comp):
         self.comp = comp
@@ -101,8 +113,7 @@ class _Order:
         self.slots = None
         self.items = []
         self.index = {}
-        self.known = []
-        self.value = []
+        self.rows = []
 
     def slot(self, x) -> int:
         """The slot of element x, interned on first sight."""
@@ -110,20 +121,24 @@ class _Order:
         if i is None:
             i = self.index[x] = len(self.items)
             self.items.append(x)
-            self.known.append(0)
-            self.value.append(0)
+            self.rows.append(bytearray())
         return i
 
     def le(self, i: int, j: int) -> bool:
         """items[i] <= items[j], decided by ``comp.leq`` the first time it is
-        asked and read from the bits after that."""
-        bit = 1 << j
-        if self.known[i] & bit:
-            return bool(self.value[i] & bit)
+        asked and read from the row after that."""
+        row = self.rows[i]
+        k = j >> 2
+        if k < len(row):
+            state = row[k] >> 2 * (j & 3) & 3
+            if state:
+                return state == 3
+        else:
+            # at least 64 pairs at a time: a row filled in slot order grows
+            # once per 64 pairs, not once per 4
+            row.extend(bytes(k + 16 - len(row)))
         answer = self.comp.leq(self.items[i], self.items[j]) is not None
-        self.known[i] |= bit
-        if answer:
-            self.value[i] |= bit
+        row[k] |= (3 if answer else 1) << 2 * (j & 3)
         return answer
 
 
@@ -144,8 +159,10 @@ class LawContext:
     completions.  Each ordered pair reaches ``Completion.leq`` at most once
     per context; a decision that raises records nothing, so asked again it
     raises again.  The footprint is two bits per ordered pair of the
-    interned elements of one memo plus one index entry per element, for as
-    long as the context lives; running the same laws again adds nothing.
+    interned elements of one memo, in one byte row per element, plus one
+    index entry per element, for as long as the context lives; running the
+    same laws again adds nothing.  :meth:`order` refuses a bounded fiber
+    too large for that footprint before building it.
     """
 
     def __init__(self, doctrine: Doctrine | None = None, max_card: int = 2, qmax: int = 2,
@@ -186,9 +203,18 @@ class LawContext:
     def order(self, polarity, a) -> _Order:
         """The order memo over `a` in the polarity's completion, its
         ``fiber`` and ``slots`` filled with ``bounded_fiber(a, qmax)`` the
-        first time it is asked for."""
+        first time it is asked for.
+
+        The fiber's size is counted first, from the base's fiber counts: a
+        fiber whose pairs number more than ORDER_MATRIX_CAP raises
+        SearchBudgetExceeded before anything is built or decided, as an
+        order matrix that large would."""
         order = self._memo(self.completion(polarity), a)
         if order.fiber is None:
+            n = order.comp.bounded_size(a, self.qmax)
+            if n * n > ORDER_MATRIX_CAP:
+                raise SearchBudgetExceeded(n * n, ORDER_MATRIX_CAP, f"order memo of the fiber over {a!r}, "
+                                           f"{n} elements", "order-memo entries")
             fiber = order.comp.bounded_fiber(a, self.qmax)
             order.slots = [order.slot(x) for x in fiber]
             order.fiber = fiber
@@ -337,21 +363,43 @@ def _law_adjunction_along(ctx, side):
 
 def _pr_squares(ctx, cat):
     """Each projection square of a Beck-Chevalley law, in law order: every
-    arrow f: D -> A with every object C, as (f, C, A x C, f x 1_C)."""
+    arrow f: D -> A with every object C, as (f, C, A x C, f x 1_C).  A
+    square whose chosen products the category lacks is left out; with none
+    left, the first one missing raises, so the law is SKIPPED."""
+    missing, found = None, False
     for f in ctx.arrows():
         for c in ctx.objects:
-            ac = cat.product(f.cod, c)
-            yield f, c, ac, times_identity(cat, f, c)
+            try:
+                ac, fx1 = cat.product(f.cod, c), times_identity(cat, f, c)
+            except CapabilityError as exc:
+                missing = missing or exc
+                continue
+            found = True
+            yield f, c, ac, fx1
+    if missing and not found:
+        raise missing
 
 
 def _inj_squares(ctx, cat):
     """Each injection square of a Beck-Chevalley law, in law order: objects
-    A, B, C, D with f: C -> A and h: D -> B, as (A, B, C, D, f, h, f + h)."""
+    A, B, C, D with f: C -> A and h: D -> B, as (A, B, C, D, f, h, f + h).
+    A square whose chosen coproducts A + B or C + D the category lacks is
+    left out; with none left, the first one missing raises, so the law is
+    SKIPPED."""
+    missing, found = None, False
     for a, b, c, d in itertools.product(ctx.objects, repeat=4):
+        try:
+            j1, j2 = cat.inj1(a, b), cat.inj2(a, b)
+            cat.coproduct(c, d)
+        except CapabilityError as exc:
+            missing = missing or exc
+            continue
+        found = True
         for f in cat.iter_hom(c, a, ctx.budget):
             for h in cat.iter_hom(d, b, ctx.budget):
-                g = cat.copair(cat.compose(cat.inj1(a, b), f), cat.compose(cat.inj2(a, b), h))
-                yield a, b, c, d, f, h, g
+                yield a, b, c, d, f, h, cat.copair(cat.compose(j1, f), cat.compose(j2, h))
+    if missing and not found:
+        raise missing
 
 
 def _law_bc_projections(ctx):

@@ -108,7 +108,8 @@ class Preorder:
         """
         labels = tuple(labels)
         if len(labels) ** 2 > ORDER_MATRIX_CAP:
-            raise SearchBudgetExceeded(len(labels)**2, ORDER_MATRIX_CAP, f"order matrix of {len(labels)} elements")
+            raise SearchBudgetExceeded(len(labels)**2, ORDER_MATRIX_CAP, f"order matrix of {len(labels)} elements",
+                                       "order-matrix entries")
         asked = {}
 
         def ask(i, j):

@@ -170,7 +170,9 @@ class TestDialectica:
         start = time.perf_counter()
         code, _, err = run(capsys, "dial-lattice", "--bound", "4")
         assert code == 4 and time.perf_counter() - start < 10
-        assert "exceeds budget 33554432 (order matrix of 74963 elements)" in err
+        # the budget names what it counts: order-matrix entries, not arrows
+        assert ("budget exceeded: search space of 5619451369 order-matrix entries exceeds budget 33554432 "
+                "(order matrix of 74963 elements)") in err
 
     def test_dial_lattice_dot(self, capsys):
         code, out, _ = run(capsys, "dial-lattice", "--bound", "1", "--dot")

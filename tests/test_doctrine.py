@@ -12,7 +12,7 @@ from doctrines.doctrine import (
     op_doctrine,
     powerset_doctrine,
 )
-from doctrines.errors import CapabilityError, LoadError
+from doctrines.errors import CapabilityError, LoadError, SearchBudgetExceeded
 from doctrines.laws import LawContext, run_laws, run_suite, verify_doctrine
 from doctrines.report import PASS, SKIPPED
 from doctrines.tables import load_doctrine, skel_category_json
@@ -69,6 +69,11 @@ class TestPowerset:
                 for q in P.fiber_elements(2):
                     assert P.reindex(f, p & q) == P.reindex(f, p) & P.reindex(f, q)
                     assert P.reindex(f, p | q) == P.reindex(f, p) | P.reindex(f, q)
+
+    def test_fiber_enumeration_budget_counts_elements(self):
+        with pytest.raises(SearchBudgetExceeded) as e:
+            P.fiber_elements(21)
+        assert str(e.value) == "search space of 2097152 fiber elements exceeds budget 1048576 (fiber over 21)"
 
     def test_masks_roundtrip(self):
         assert mask_from_indices([0, 3], 4) == 0b1001
@@ -213,6 +218,17 @@ def full_adjoint_data():
     return data
 
 
+def some_coproducts(data):
+    """Declare the coproducts n0+n0, n0+n1 and n1+n0 of the skeleton up to
+    card 1, and not n1+n1, which it lacks."""
+    data["category"]["structure"]["coproducts"] = [
+        {"left": f"n{a}", "right": f"n{b}", "obj": f"n{a + b}",
+         "inj1": f"a{a}_{a + b}_" + "_".join(map(str, range(a))),
+         "inj2": f"a{b}_{a + b}_" + "_".join(str(a + i) for i in range(b))}
+        for a, b in ((0, 0), (0, 1), (1, 0))]
+    return data
+
+
 def two_point_n0(data, leq):
     """Make the fiber over n0 the two elements e, f ordered by `leq`, with
     the reindex tables of the arrows out of n0 to match."""
@@ -295,16 +311,24 @@ class TestTabular:
             assert laws["beck-chevalley-projections"] == (PASS, 8)
             assert laws["beck-chevalley-injections"] == (SKIPPED, 0)
 
+    def test_injection_squares_checked_where_the_coproducts_exist(self):
+        """Beck-Chevalley squares whose chosen coproducts the category lacks
+        are left out and the others checked; the law is SKIPPED only when
+        no square is left."""
+        doc = load_doctrine(some_coproducts(full_adjoint_data()))
+        for d in (doc, op_doctrine(doc)):
+            laws = {r.law: (r.status, r.checked) for r in verify_doctrine(d).results}
+            assert laws["beck-chevalley-injections"] == (PASS, 7)
+            assert laws["beck-chevalley-projections"] == (PASS, 8)
+        # with no coproduct at all, the first one missing is the reason
+        laws = {r.law: r for r in verify_doctrine(load_doctrine(full_adjoint_data())).results}
+        law = laws["beck-chevalley-injections"]
+        assert (law.status, law.checked, law.detail) == (SKIPPED, 0, "no chosen coproduct for ('n0','n0')")
+
     def test_completion_refuses_injection_quantifiers_over_a_file(self):
         # the base answers along the chosen injection from its tables, but the
         # completion's transport needs the distributivity isos of finite sets
-        data = full_adjoint_data()
-        data["category"]["structure"]["coproducts"] = [
-            {"left": f"n{a}", "right": f"n{b}", "obj": f"n{a + b}",
-             "inj1": f"a{a}_{a + b}_" + "_".join(map(str, range(a))),
-             "inj2": f"a{b}_{a + b}_" + "_".join(str(a + i) for i in range(b))}
-            for a, b in ((0, 0), (0, 1), (1, 0))]
-        doc = load_doctrine(data)
+        doc = load_doctrine(some_coproducts(full_adjoint_data()))
         assert doc.exists_inj(("n1", "n0"), 1) == 1
         comp = Completion(doc, EX)
         with pytest.raises(CapabilityError, match="distributivity isos exist on finite sets only"):

@@ -121,6 +121,27 @@ class TestOutcomePolicy:
                 assert laws[law].status == SKIPPED
                 assert laws[law].detail == "search space of 4 candidate arrows exceeds budget 3 (Hom(2,2))"
 
+    def test_oversized_order_memo_is_skipped_before_any_decision(self, monkeypatch):
+        # every fiber at qmax=2 has at least 3 elements, so 9 memo entries
+        calls = Counter()
+        leq = Completion.leq
+
+        def counted(self, x, y):
+            calls[x, y] += 1
+            return leq(self, x, y)
+
+        monkeypatch.setattr(Completion, "leq", counted)
+        monkeypatch.setattr("doctrines.laws.ORDER_MATRIX_CAP", 8)
+        rep = run_suite("adjunctions", LawContext(max_card=2, qmax=2))
+        laws = {r.law: r for r in rep.results}
+        assert rep.ok and not calls
+        for law in ("completion-exists-pr-adjunction", "completion-forall-pr-adjunction",
+                    "completion-forall-pr-exp-adjunction", "completion-inj-adjunction-ex"):
+            assert (laws[law].status, laws[law].checked) == (SKIPPED, 0)
+        assert laws["completion-exists-pr-adjunction"].detail == (
+            "search space of 9 order-memo entries exceeds budget 8 (order memo of the fiber over 0, 3 elements)")
+        assert laws["adjunction-exists-along"].status == PASS
+
     def test_failed_recertification_is_a_fail(self):
         class LyingKernel(PowersetDoctrine):
             def ex_witness(self, a, b, c, alpha, beta):
@@ -222,7 +243,7 @@ class TestFiberOrder:
                 inside = set(order.slots)
                 for i, x in enumerate(order.items):
                     for j in range(len(order.items)):
-                        if (i not in inside or j not in inside) and order.known[i] >> j & 1:
+                        if (i not in inside or j not in inside) and int.from_bytes(order.rows[i], "little") >> 2 * j & 3:
                             assert order.le(i, j) == (fresh.leq(x, order.items[j]) is not None)
 
     def test_routed_pairs_decided_at_most_once(self, monkeypatch):

@@ -1,5 +1,6 @@
 """The records of the library: the value records immutable, equal and
-hashed by their fields, and printed as before; the orders immutable and
+hashed by their fields, and printed as before, also as the hot paths
+build them, without their constructors; the orders immutable and
 equal by their fields within one class; the mutable reports and the law
 context never sharing a default container."""
 
@@ -8,9 +9,10 @@ import pickle
 
 import pytest
 
-from doctrines.completion import EX, QuantElem, WitnessArrow
+from doctrines.completion import EX, UN, Completion, QuantElem, WitnessArrow
 from doctrines.dialectica import DialObj
-from doctrines.fincat import Arrow
+from doctrines.doctrine import powerset_doctrine
+from doctrines.fincat import Arrow, SkelFinSet, compose, product_map
 from doctrines.laws import LawContext
 from doctrines.poset import LatticeReport, Poset, Preorder
 from doctrines.principles import SkolemReport
@@ -117,3 +119,37 @@ def test_default_contexts_share_nothing():
     assert one.le(x, x) and one._orders and not two._orders
     assert (two.max_card, two.qmax, two.seed, two.budget) == (2, 2, 2024, None)
     assert two.comp_ex.base is two.comp_un.base is two.doctrine
+
+
+def _built_records():
+    """Records as the hot paths build them, beside the record type each
+    must be and the repr it must print."""
+    cat = SkelFinSet()
+    f, g = Arrow(2, 2, (1, 0)), Arrow(2, 3, (0, 2))
+    comp = Completion(powerset_doctrine(), EX)
+    x, y = comp.elem(1, 2, 0b01), comp.elem(1, 1, 0b1)
+    return [
+        (compose(g, f), Arrow, "Arrow(2 -> 3, [2, 0])"),
+        (cat.compose(g, f), Arrow, "Arrow(2 -> 3, [2, 0])"),
+        (cat.pair(f, g), Arrow, "Arrow(2 -> 6, [3, 2])"),
+        (cat.copair(g, Arrow(1, 3, (1,))), Arrow, "Arrow(3 -> 3, [0, 2, 1])"),
+        (product_map(cat, f, g), Arrow, "Arrow(4 -> 6, [3, 5, 0, 2])"),
+        (list(cat.iter_hom(2, 2))[2], Arrow, "Arrow(2 -> 2, [1, 0])"),
+        (next(cat.iter_hom(0, 2)), Arrow, "Arrow(0 -> 2, [])"),
+        (x, QuantElem, "QuantElem(EX, base=1, qobj=2, pred=1)"),
+        (Completion(powerset_doctrine(), UN).elem(2, 0, 0), QuantElem, "QuantElem(UN, base=2, qobj=0, pred=0)"),
+        (comp.leq(x, y), WitnessArrow, "WitnessArrow(arrow=Arrow(2 -> 1, [0, 0]), direction='f: AxB -> C')"),
+        (comp.leq(x, y).arrow, Arrow, "Arrow(2 -> 1, [0, 0])"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_built_records())))
+def test_hot_path_records_are_the_records(case):
+    # built by one C call on a field tuple, they must be the same records
+    # the constructors make: same type, equality, hash and repr
+    r, make, text = _built_records()[case]
+    twin = make(*r)
+    assert type(r) is make
+    assert r == twin and hash(r) == hash(twin) and len({r, twin}) == 1
+    assert r._fields == make._fields and r._asdict() == twin._asdict()
+    assert repr(r) == repr(twin) == text
