@@ -4,7 +4,9 @@ Orders are stored as tuples of row bitmasks: ``rows[i]`` has bit j set
 iff element i is below element j.  Completion fibers arrive here as
 preorders; antisymmetry is only ever imposed by an explicit call to
 :func:`poset_reflect`, which keeps "equality up to mutual order" a
-first-class, testable notion.
+first-class, testable notion.  In a reflexive, transitive matrix two
+elements are mutually comparable exactly when their rows are equal, so a
+class of mutual comparability is a row value.
 """
 
 from __future__ import annotations
@@ -144,12 +146,16 @@ class Preorder:
 class Poset(Preorder):
     def __init__(self, labels: tuple, rows: tuple):
         super().__init__(labels, rows)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.le(i, j) and self.le(j, i):
-                    raise ValueError(
-                        f"not antisymmetric: {self.labels[i]!r} ~ {self.labels[j]!r}"
-                    )
+        # mutual comparability is equality of rows: name the first pair in
+        # row-major order, the least i with a twin and its least twin j
+        first, twin = {}, {}
+        for j, row in enumerate(self.rows):
+            i = first.setdefault(row, j)
+            if i != j:
+                twin.setdefault(i, j)
+        if twin:
+            i = min(twin)
+            raise ValueError(f"not antisymmetric: {self.labels[i]!r} ~ {self.labels[twin[i]]!r}")
 
 
 def _least(p: Preorder, members) -> int | None:
@@ -170,32 +176,35 @@ def _greatest(p: Preorder, members) -> int | None:
 def poset_reflect(p: Preorder) -> tuple[Poset, tuple]:
     """Quotient a preorder by mutual comparability.
 
-    The canonical representative of a class is its least-index member;
-    classes are ordered by their representatives' order, which is well
-    defined.  Returns the quotient poset and each element's class index,
-    the (surjective, monotone) projection onto the quotient as a table.
+    A class is a row value: the first element met with each row is the
+    class's representative, its least-index member.  Classes are ordered
+    by their representatives' order, which is well defined.  Returns the
+    quotient poset and each element's class index, the (surjective,
+    monotone) projection onto the quotient as a table.  Monotonicity is
+    checked one row at a time: row i may only reach members of the classes
+    at or above its own, and the first pair (i, j) in row-major order that
+    does not is named.
     """
-    n = p.n
-    rep = []
-    for i in range(n):
-        r = i
-        for j in range(i):
-            if p.le(i, j) and p.le(j, i):
-                r = rep[j]
-                break
-        rep.append(r)
-    reps = sorted(set(rep))
+    first = {}
+    for i, row in enumerate(p.rows):
+        first.setdefault(row, i)
+    reps = sorted(first.values())
     pos = {r: k for k, r in enumerate(reps)}
     labels = tuple(p.labels[r] for r in reps)
     rows = tuple(
         sum(1 << pos[s] for s in reps if p.le(r, s)) for r in reps
     )
     quotient = Poset(labels, rows)
-    table = tuple(pos[rep[i]] for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if p.le(i, j) and not quotient.le(table[i], table[j]):
-                raise ValueError(f"projection not monotone at ({i},{j})")
+    table = tuple(pos[first[row]] for row in p.rows)
+    members = [0] * len(reps)
+    for i, c in enumerate(table):
+        members[c] |= 1 << i
+    allowed = [sum(m for d, m in enumerate(members) if quotient.le(c, d)) for c in range(len(reps))]
+    for i, row in enumerate(p.rows):
+        stray = row & ~allowed[table[i]]
+        if stray:
+            j = (stray & -stray).bit_length() - 1
+            raise ValueError(f"projection not monotone at ({i},{j})")
     return quotient, table
 
 

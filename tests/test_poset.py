@@ -108,7 +108,60 @@ class TestFromLe:
             Preorder.from_le("abc", lambda x, y: x == y or (x, y) in holds)
 
 
+def reflect_by_scan(pre):
+    """Oracle for ``poset_reflect``: each element's class is found by asking
+    mutual comparability against every earlier element, and a class is
+    represented by its least-index member."""
+    n = pre.n
+    rep = []
+    for i in range(n):
+        rep.append(next((rep[j] for j in range(i) if pre.le(i, j) and pre.le(j, i)), i))
+    reps = sorted(set(rep))
+    pos = {r: k for k, r in enumerate(reps)}
+    labels = tuple(pre.labels[r] for r in reps)
+    rows = tuple(sum(1 << pos[s] for s in reps if pre.le(r, s)) for r in reps)
+    return labels, rows, tuple(pos[rep[i]] for i in range(n))
+
+
+def assert_reflects_as_scan(pre):
+    quotient, table = poset_reflect(pre)
+    assert (quotient.labels, quotient.rows, table) == reflect_by_scan(pre)
+
+
 class TestReflection:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
+    )
+    def test_random_preorders_match_scan(self, n, pairs):
+        pairs = [(a % n, b % n) for a, b in pairs] if n else []
+        assert_reflects_as_scan(Preorder.from_pairs(list(range(n)), pairs))
+
+    def test_dial_preorder_matches_scan(self):
+        doc = powerset_doctrine()
+        objs = bounded_dialobjs(doc, 2)
+        for seed in range(4):
+            random.Random(seed).shuffle(objs)
+            assert_reflects_as_scan(dial_preorder(doc, objs))
+
+    def test_bounded_preorder_matches_scan(self):
+        doc = powerset_doctrine()
+        for polarity in (EX, UN):
+            comp = Completion(doc, polarity)
+            for a in range(3):
+                assert_reflects_as_scan(comp.bounded_preorder(a, 2))
+
+    @pytest.mark.parametrize("rows", [(0b101, 0b110, 0b110), (0b1101, 0b1110, 0b1110, 0b1110)])
+    def test_projection_not_monotone_is_named(self, rows):
+        # past validation: 0 <= 2 and 1 ~ 2, but not 0 <= 1, so the quotient
+        # {0}, {1, 2, ...} is an antichain that the pair (0, 2) does not respect
+        pre = object.__new__(Preorder)
+        object.__setattr__(pre, "labels", tuple(range(len(rows))))
+        object.__setattr__(pre, "rows", rows)
+        with pytest.raises(ValueError, match=r"projection not monotone at \(0,2\)"):
+            poset_reflect(pre)
+
     def test_poset_fixed(self):
         p = chain(3)
         q, cls = poset_reflect(p)
@@ -187,4 +240,13 @@ class TestValidation:
     def test_every_condition_names_itself(self, make, labels, rows, message):
         with pytest.raises(ValueError, match=message):
             make(labels, rows)
+
+    @pytest.mark.parametrize("rows, pair", [
+        ((0b1001, 0b0110, 0b0110, 0b1001), "0 ~ 3"),  # a scan over j meets the twins 1 ~ 2 first
+        ((0b0111, 0b0111, 0b0111, 0b1000), "0 ~ 1"),
+        ((0b0001, 0b1010, 0b0100, 0b1010), "1 ~ 3"),
+    ])
+    def test_antisymmetry_names_first_pair_in_row_major_order(self, rows, pair):
+        with pytest.raises(ValueError, match=f"not antisymmetric: {pair}$"):
+            Poset((0, 1, 2, 3), rows)
 
